@@ -9,11 +9,13 @@ Four subcommands:
   the reciprocal-series identity, and the subset-pair histograms.
 - ``cache``: save, validate-load, or clear a memo snapshot file.
 
-Exit codes: 0 success, 1 verification or cache-data mismatch, 2 usage
-error.  The DESCENTS_CACHE environment variable supplies a default cache
-path; ``value`` and ``table`` preload it when it exists (ignoring it
-with a warning if it fails validation), while ``verify`` always starts
-cold so the checks actually exercise the recurrences.
+Exit codes: 0 success, 1 verification or cache-data mismatch or an
+internal inconsistency (a filled count came out negative, as a poisoned
+cache can cause), 2 usage error.  The DESCENTS_CACHE environment
+variable supplies a default cache path; ``value`` and ``table`` preload
+it when it exists (ignoring it with a warning if it fails validation),
+while ``verify`` always starts cold so the checks actually exercise the
+recurrences.
 """
 from __future__ import annotations
 
@@ -24,7 +26,12 @@ import sys
 
 from . import cache as cache_io
 from .combinatorics import gaussian_coefficient
-from .engine import DescentCounter, labeled_dag_total, series_identity_check
+from .engine import (
+    DescentCounter,
+    EngineInconsistency,
+    labeled_dag_total,
+    series_identity_check,
+)
 from .golden import GOLDEN_COUNTS, GOLDEN_MAX_N
 from .oracle import MAX_ORACLE_N, enumerate_counts, subset_pair_histogram
 
@@ -252,32 +259,28 @@ def _check_oracle(counter: DescentCounter, oracle_max_n: int,
 # ----------------------------------------------------------------------
 # subcommands
 
-def _preload_from_env(counter: DescentCounter) -> None:
-    """Best-effort preload of $DESCENTS_CACHE; never fatal."""
+def _preload_from_env() -> DescentCounter:
+    """A counter preloaded from $DESCENTS_CACHE; a cache that fails
+    validation is ignored with a warning, never fatal."""
+    counter = DescentCounter()
     path = os.environ.get(cache_io.ENV_VAR)
     if not path or not os.path.exists(path):
-        return
+        return counter
     try:
-        records = cache_io.load_records(path)
-        staging = DescentCounter()
-        cache_io.apply_records(staging, records)
+        cache_io.apply_records(counter, cache_io.load_records(path))
     except cache_io.CacheError as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-        return
-    cache_io.apply_records(counter, records)
+        return DescentCounter()  # drop whatever was staged before the error
+    return counter
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
-    counter = DescentCounter()
-    _preload_from_env(counter)
-    print(counter.dag_count(args.n, args.k))
+    print(_preload_from_env().dag_count(args.n, args.k))
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    counter = DescentCounter()
-    _preload_from_env(counter)
-    rows = counter.table(args.max_n)
+    rows = _preload_from_env().table(args.max_n)
     text = FORMATTERS[args.format](rows, args.max_k)
     if args.out is None:
         sys.stdout.write(text)
@@ -373,13 +376,17 @@ def _cmd_cache(args: argparse.Namespace,
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "value":
-        return _cmd_value(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    return _cmd_cache(args, parser)
+    try:
+        if args.command == "value":
+            return _cmd_value(args)
+        if args.command == "table":
+            return _cmd_table(args)
+        if args.command == "verify":
+            return _cmd_verify(args, parser)
+        return _cmd_cache(args, parser)
+    except EngineInconsistency as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

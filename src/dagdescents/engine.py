@@ -3,7 +3,8 @@
 A descent of a labeled digraph is an edge x -> y with x > y.  The
 central quantity is d(n,k), the number of acyclic digraphs on vertices
 1..n with exactly k descents.  It is computed through six mutually
-recursive count families, all memoized in dense per-n rows:
+recursive count families, all memoized in dense per-n rows.  Row n of a
+family F is read as the polynomial F_n(x) = sum_k F(n,k) x^k:
 
 - ``d``: all acyclic digraphs with k descents;
 - ``t``: those in which every vertex is reachable from vertex 1;
@@ -25,12 +26,34 @@ reachable through several insertions are compensated by Cw:
     d(n,k) = 2^(n-1) d(n-1,k) + (n-1) d(n,k-1)
              - A(n,k-1) - B(n,k-1) - Cw(n,k)
 
-t and u recurse on the vertex split X / Y, where X is the set reachable
-from the top (for t) or bottom (for u) label; the number of admissible
-splits with i increasing cross pairs is a Gaussian binomial coefficient,
-and the cross edges contribute binomial factors for the descents chosen
-among them.  A, B and Cw decompose the same way around the set reachable
-from vertex 1.
+The five other families are built a whole row at a time.  Each splits
+the vertices into a set X of j vertices closed under reachability from
+a root (vertex n for t, vertex 1 for the rest) and its complement Y of
+o = n - j vertices, so every cross edge runs from Y into X:
+
+    F_n(x) = sum_j  P_j(x) * Q_o(x) * W_j(x) * cross_F(x)
+
+- P_j Q_o is the product of two finished rows, one on each side: u_j t_o
+  for t, t_j u_o for u, and t_j d_o for A, B and Cw.
+- W_j(x) = sum_i w_i (1+x)^i covers the cross pairs the family leaves
+  free.  w_i counts the placements of X with i of those pairs descents
+  (a Gaussian binomial coefficient) times 2 for each free ascent pair,
+  present or absent; a descent pair contributes 1+x.
+- cross_F(x) covers the pairs into the root, where the families differ.
+  The o pairs into vertex n are ascents; those into vertex 1 are
+  descents, m of them present in C(o,m) ways:
+
+      family | cross polynomial              | edges into the root
+      -------+-------------------------------+-------------------------
+      t      | 2^o - 1                       | at least one, into n
+      u      | (1+x)^o - 1                   | at least one, into 1
+      A      | o x (1+x)^(o-1)               | m of them, weight m
+      B      | (j-1) (1+x)^o                 | any, weight j-1 = |X - 1|
+      Cw     | o x (1+x)^(o-1) - (1+x)^o + 1 | m >= 2, weight m-1
+
+A, B and Cw share P_j Q_o W_j, so each split is multiplied out once for
+all three.  For u the pairs from vertex n into X are descents too; its
+weights carry them as the Gaussian-coefficient offset i - n + 1.
 
 Everything is exact integer arithmetic.  Tables fill bottom-up level by
 level (no deep call recursion), so large n cannot exhaust the stack.
@@ -40,18 +63,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 from .combinatorics import (
     binomial,
     gaussian_coefficient,
     gaussian_coeffs,
     pow2,
-    two_factorial,
 )
 
 #: Family tags, also used as the on-disk cache vocabulary.
 FAMILIES = ("d", "t", "u", "A", "B", "Cw")
+
+
+class EngineInconsistency(RuntimeError):
+    """A filled cell came out negative, so some input row was wrong."""
 
 
 class DescentCounter:
@@ -67,7 +93,8 @@ class DescentCounter:
         self._rows: dict[str, dict[int, list[int]]] = {
             tag: {} for tag in FAMILIES}
         self._rows["d"][0] = [1]  # the empty graph has zero descents
-        self._staged: dict[tuple[str, int, int], int] = {}
+        # staged cells {k: value} per (family, n), until that row fills
+        self._staged: dict[tuple[str, int], dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     # public queries
@@ -133,8 +160,9 @@ class DescentCounter:
                     yield tag, n, k, value
 
     def preload(self, family: str, n: int, k: int, value: int) -> None:
-        """Stage a known value so the fill step can skip recomputing it.
+        """Stage a known value that overrides the computed cell.
 
+        A row whose every cell is staged is taken as is and not computed.
         Staged values are trusted, so callers are expected to validate
         them first (the cache layer re-checks everything that overlaps
         the golden fixture).  Values that contradict structural facts —
@@ -161,10 +189,10 @@ class DescentCounter:
                     f"{family} {n} {k} conflicts with computed value "
                     f"{row[k]} (got {value})")
             return
-        key = (family, n, k)
-        if self._staged.get(key, value) != value:
+        cells = self._staged.setdefault((family, n), {})
+        if cells.get(k, value) != value:
             raise ValueError(f"conflicting staged values for {family} {n} {k}")
-        self._staged[key] = value
+        cells[k] = value
 
     # ------------------------------------------------------------------
     # internals
@@ -190,40 +218,40 @@ class DescentCounter:
 
     def _fill_level(self, n: int) -> None:
         size = n * (n - 1) // 2 + 1
-        staged = self._staged
+        staged = {tag: self._staged.pop((tag, n), {}) for tag in FAMILIES}
 
-        def fill(tag: str, compute: Callable[[int], int]) -> list[int]:
-            row = [0] * size
-            for k in range(size):
-                cached = staged.pop((tag, n, k), None)
-                if cached is not None:
-                    row[k] = cached
-                    continue
-                value = compute(k)
-                if value < 0:
-                    raise RuntimeError(
-                        f"internal inconsistency: {tag}({n},{k}) = {value}")
-                row[k] = value
-            self._rows[tag][n] = row
-            return row
+        def settle(tags, compute) -> None:
+            """Store the level-n rows of ``tags``.  If every cell is
+            staged the rows are taken as they are; otherwise they are
+            computed and staged cells override computed ones."""
+            if all(len(staged[tag]) == size for tag in tags):
+                for tag in tags:
+                    cells = staged[tag]
+                    self._rows[tag][n] = [cells[k] for k in range(size)]
+                return
+            for tag, row in zip(tags, compute(n, size)):
+                cells = staged[tag]
+                for k, value in enumerate(row):
+                    if k in cells:
+                        row[k] = cells[k]
+                    elif value < 0:
+                        raise EngineInconsistency(
+                            f"internal inconsistency: {tag}({n},{k}) = "
+                            f"{value}")
+                self._rows[tag][n] = row
 
-        # Order matters: the B sum reads the level-n t row (its j = n term
-        # is (n-1) * t(n,k)), and the d row reads all of A, B, Cw at level n.
-        fill("t", lambda k: two_factorial(n - 1) if k == 0
-             else self._t_recurrence(n, k))
-        fill("u", lambda k: int(n == 1) if k == 0
-             else self._u_recurrence(n, k))
-        a_row = fill("A", lambda k: 0 if k == 0
-                     else self._descent_incidence_sum(n, k))
-        b_row = fill("B", lambda k: self._reach_incidence_sum(n, k))
-        cw_row = fill("Cw", lambda k: 0 if k < 2
-                      else self._multi_indegree_overcount(n, k))
+        # Order matters: B's j = n term reads the finished level-n t row,
+        # and the d row reads all of A, B, Cw at level n.
+        settle(("t", "u"), self._spanning_rows)
+        settle(("A", "B", "Cw"), self._incidence_rows)
 
+        a_row, b_row, cw_row = (self._rows[tag][n]
+                                for tag in ("A", "B", "Cw"))
         d_prev = self._rows["d"][n - 1]
         d_row = [0] * size
         source_ways = pow2(n - 1)
         for k in range(size):
-            cached = staged.pop(("d", n, k), None)
+            cached = staged["d"].get(k)
             if cached is not None:
                 d_row[k] = cached
                 continue
@@ -234,205 +262,88 @@ class DescentCounter:
             value = (source_ways * above + (n - 1) * d_row[k - 1]
                      - a_row[k - 1] - b_row[k - 1] - cw_row[k])
             if value < 0:
-                raise RuntimeError(
+                raise EngineInconsistency(
                     f"internal inconsistency: d({n},{k}) = {value}")
             d_row[k] = value
         self._rows["d"][n] = d_row
 
-    def _t_recurrence(self, n: int, k: int) -> int:
-        """Spanning-from-1 graphs with k descents, n >= 2, k >= 1.
+    def _spanning_rows(self, n: int, size: int) -> tuple[list[int], ...]:
+        """Level-n rows of t and u (see the module docstring).
 
-        Split on the set X of the j vertices reachable from vertex n
-        (so n is in X and 1 is in Y = complement).  The subgraph on X is
-        any spanning-from-its-top graph with s descents, the subgraph on
-        Y any spanning-from-1 graph with r descents; i counts increasing
-        cross pairs, of which k-s-r become descents; at least one of the
-        n-j increasing edges from Y into vertex n must be present.
+        For t, X is the set reachable from vertex n: u on X, t on Y.  For
+        u, X is the set reachable from vertex 1: t on X, u on Y.
         """
+        if n == 1:
+            return [1], [1]  # a lone vertex reaches itself
         rows_t, rows_u = self._rows["t"], self._rows["u"]
-        total = 0
+        t_row, u_row = [0] * size, [0] * size
         for j in range(1, n):
-            u_row = rows_u[j]
-            t_row = rows_t[n - j]
-            q_row = gaussian_coeffs(n - 2, j - 1)
-            exp_base = (j - 1) * (n - j)
-            into_top = pow2(n - j) - 1
-            for i, q in enumerate(q_row):
-                if q == 0:
-                    continue
-                weight = q * into_top * pow2(exp_base - i)
-                cross = 0
-                for r, tv in enumerate(t_row):
-                    if r > k:
-                        break
-                    if tv == 0:
-                        continue
-                    rem = k - r
-                    for s in range(min(rem, len(u_row) - 1) + 1):
-                        uv = u_row[s]
-                        if uv == 0:
-                            continue
-                        choose = binomial(i, rem - s)
-                        if choose:
-                            cross += tv * uv * choose
-                total += weight * cross
-        return total
+            o = n - j
+            free = (j - 1) * o  # pairs from Y into X other than the root
+            into_top = pow2(o) - 1
+            t_weights = _binomial_sum(
+                (i, q * into_top * pow2(free - i))
+                for i, q in enumerate(gaussian_coeffs(n - 2, j - 1)))
+            _add(t_row, _mul(rows_u[j], rows_t[o], t_weights))
+            top = j * o
+            u_weights = _binomial_sum(
+                (i - o, gaussian_coefficient(n - 2, j - 1, i - n + 1)
+                 * pow2(top - i))
+                for i in range(n - 1, top + 1))
+            into_lowest = _binomial_sum([(o, 1)])
+            into_lowest[0] = 0  # (1+x)^o - 1
+            _add(u_row, _mul(rows_t[j], rows_u[o], u_weights, into_lowest))
+        return t_row, u_row
 
-    def _u_recurrence(self, n: int, k: int) -> int:
-        """Spanning-from-n graphs with k descents, n >= 2, k >= 1.
+    def _incidence_rows(self, n: int, size: int) -> tuple[list[int], ...]:
+        """Level-n rows of A, B and Cw (see the module docstring).
 
-        Split on the set X of the j vertices reachable from vertex 1
-        (1 in X, n in Y).  At least one cross descent must point at
-        vertex 1, hence the difference of binomials: all choices of the
-        k-r-s cross descents minus the choices avoiding vertex 1's n-j
-        incoming pairs.  Cross pairs number at least n-1 (the pairs
-        through vertices 1 and n alone).
-        """
-        rows_t, rows_u = self._rows["t"], self._rows["u"]
-        total = 0
-        for j in range(1, n):
-            t_row = rows_t[j]
-            u_row = rows_u[n - j]
-            top = j * (n - j)
-            for i in range(n - 1, top + 1):
-                q = gaussian_coefficient(n - 2, j - 1, i - n + 1)
-                if q == 0:
-                    continue
-                weight = q * pow2(top - i)
-                cross = 0
-                for r, uv in enumerate(u_row):
-                    if r > k - 1:
-                        break
-                    if uv == 0:
-                        continue
-                    for s in range(min(k - 1 - r, len(t_row) - 1) + 1):
-                        tv = t_row[s]
-                        if tv == 0:
-                            continue
-                        need = k - r - s
-                        choose = binomial(i, need) - binomial(i - n + j, need)
-                        if choose:
-                            cross += uv * tv * choose
-                total += weight * cross
-        return total
-
-    def _descent_incidence_sum(self, n: int, k: int) -> int:
-        """(graph, edge m->1) incidence pairs over graphs with k descents.
-
-        Split on the set X of the j vertices reachable from vertex 1; the
-        count of edges into vertex 1 (all from Y, all descents) enters
-        with weight equal to itself, producing the incidence sum.
+        X is the set reachable from vertex 1: t on X, d on Y.  The three
+        share that split and differ only in how the m edges from Y into
+        vertex 1, chosen in C(o,m) ways, are weighted.
         """
         rows_t, rows_d = self._rows["t"], self._rows["d"]
-        total = 0
-        for j in range(1, n):
-            t_row = rows_t[j]
-            d_row = rows_d[n - j]
-            q_row = gaussian_coeffs(n - 1, j - 1)
-            exp_base = (j - 1) * (n - j)
-            outside = n - j
-            for i, q in enumerate(q_row):
-                if q == 0:
-                    continue
-                weight = q * pow2(exp_base - i)
-                cross = 0
-                for r, dv in enumerate(d_row):
-                    if r > k - 1:
-                        break
-                    if dv == 0:
-                        continue
-                    for s in range(min(k - 1 - r, len(t_row) - 1) + 1):
-                        tv = t_row[s]
-                        if tv == 0:
-                            continue
-                        rem = k - r - s  # >= 1 descents left for cross edges
-                        inner = 0
-                        for count in range(1, rem + 1):
-                            into_lowest = binomial(outside, count)
-                            if into_lowest == 0:
-                                break  # count exceeded n-j; later ones too
-                            rest = binomial(i, rem - count)
-                            if rest:
-                                inner += count * into_lowest * rest
-                        if inner:
-                            cross += dv * tv * inner
-                total += weight * cross
-        return total
+        a_row, b_row, cw_row = [0] * size, [0] * size, [0] * size
+        for j in range(1, n + 1):
+            o = n - j
+            free = (j - 1) * o  # pairs from Y into X other than into 1
+            split = _mul(rows_t[j], rows_d[o], _binomial_sum(
+                (i, q * pow2(free - i))
+                for i, q in enumerate(gaussian_coeffs(n - 1, j - 1))))
+            choose = _binomial_sum([(o, 1)])
+            _add(a_row, _mul(split, [m * c for m, c in enumerate(choose)]))
+            _add(b_row, _mul(split, [(j - 1) * c for c in choose]))
+            _add(cw_row, _mul(split, [max(m - 1, 0) * c
+                                      for m, c in enumerate(choose)]))
+        return a_row, b_row, cw_row
 
-    def _reach_incidence_sum(self, n: int, k: int) -> int:
-        """(graph, vertex m>=2 reachable from 1) incidence pairs.
 
-        Split on the set X of the j vertices reachable from vertex 1;
-        each graph contributes j-1 incidences.  Every vertex of Y sits
-        above vertex 1, so the cross pairs number at least n-j.
-        """
-        rows_t, rows_d = self._rows["t"], self._rows["d"]
-        total = 0
-        for j in range(2, n + 1):
-            t_row = rows_t[j]
-            d_row = rows_d[n - j]
-            top = j * (n - j)
-            for i in range(n - j, top + 1):
-                q = gaussian_coefficient(n - 1, j - 1, i - n + j)
-                if q == 0:
-                    continue
-                weight = q * pow2(top - i)
-                cross = 0
-                for r, dv in enumerate(d_row):
-                    if r > k:
-                        break
-                    if dv == 0:
-                        continue
-                    for s in range(min(k - r, len(t_row) - 1) + 1):
-                        tv = t_row[s]
-                        if tv == 0:
-                            continue
-                        choose = binomial(i, k - r - s)
-                        if choose:
-                            cross += dv * tv * choose
-                total += (j - 1) * weight * cross
-        return total
+def _mul(*factors: list[int]) -> list[int]:
+    """Coefficient list of the product of the given polynomials."""
+    product = [1]
+    for factor in factors:
+        out = [0] * (len(product) + len(factor) - 1)
+        for i, a in enumerate(product):
+            if a:
+                for k, b in enumerate(factor, i):
+                    out[k] += a * b
+        product = out
+    return product
 
-    def _multi_indegree_overcount(self, n: int, k: int) -> int:
-        """Weighted count of graphs with several edges into vertex 1.
 
-        A graph with exactly m >= 2 such edges carries weight m-1.  The
-        m edges all come from Y (the vertices not reachable from 1), so
-        j <= n-m and the within-part descents satisfy r+s <= k-m.
-        """
-        rows_t, rows_d = self._rows["t"], self._rows["d"]
-        total = 0
-        for j in range(1, n - 1):
-            t_row = rows_t[j]
-            d_row = rows_d[n - j]
-            q_row = gaussian_coeffs(n - 1, j - 1)
-            exp_base = (j - 1) * (n - j)
-            outside = n - j
-            for i, q in enumerate(q_row):
-                if q == 0:
-                    continue
-                weight = q * pow2(exp_base - i)
-                cross = 0
-                for r, dv in enumerate(d_row):
-                    if r > k - 2:
-                        break
-                    if dv == 0:
-                        continue
-                    for s in range(min(k - 2 - r, len(t_row) - 1) + 1):
-                        tv = t_row[s]
-                        if tv == 0:
-                            continue
-                        cap = k - r - s  # multiplicity m can reach this
-                        inner = 0
-                        for m in range(2, min(cap, outside) + 1):
-                            picks = binomial(outside, m)
-                            rest = binomial(i, cap - m)
-                            if rest:
-                                inner += (m - 1) * picks * rest
-                        if inner:
-                            cross += dv * tv * inner
-                total += weight * cross
-        return total
+def _add(total: list[int], poly: list[int]) -> None:
+    """Add ``poly`` into ``total`` in place, lengthening it if needed."""
+    total.extend([0] * (len(poly) - len(total)))
+    for k, c in enumerate(poly):
+        total[k] += c
+
+
+def _binomial_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Coefficient list of the sum of w * (1+x)^i over the (i, w) pairs."""
+    total: list[int] = []
+    for i, w in terms:
+        _add(total, [w * binomial(i, r) for r in range(i + 1)])
+    return total
 
 
 def labeled_dag_total(n: int) -> int:

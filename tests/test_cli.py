@@ -265,6 +265,18 @@ def test_corrupt_env_cache_warns_and_continues(tmp_path, monkeypatch,
     assert captured.err.startswith(f"warning: ignoring cache {path}:")
 
 
+def test_poisoned_env_cache_exits_cleanly(tmp_path, monkeypatch, capsys):
+    # t(5,1) is 942 in truth; 999 passes the cache's checks, which only
+    # compare d records with the fixture, but drives d(5,5) negative
+    path = tmp_path / "poison.cache"
+    path.write_text(f"{HEADER}\nt 5 1 999\n")
+    monkeypatch.setenv("DESCENTS_CACHE", str(path))
+    assert run_cli("value", "--n", "6", "--k", "3") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal inconsistency: d(5,5) = -11485\n"
+
+
 def test_missing_env_cache_is_silent(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DESCENTS_CACHE", str(tmp_path / "absent.cache"))
     assert run_cli("value", "--n", "2", "--k", "1") == 0

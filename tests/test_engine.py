@@ -132,6 +132,110 @@ def test_table_matches_source_set_recurrence(counter):
     assert counter.table(8) == _rows_by_source_set_recurrence(8)
 
 
+# The same inclusion-exclusion, extended to all six families and taken
+# twice as deep.  P(N, M) sums, over the M-subsets S of an N-set, the
+# product over cross pairs (s in S, y not in S) of (1+x) when s > y and
+# 2 otherwise; splitting on whether the top element is in S gives
+#     P(N, M) = (1+x)^(N-M) P(N-1, M-1) + 2^M P(N-1, M).
+# With the sign (-1)^(m+1) over m = |S|:
+# - d sums P(n, m) d_(n-m);
+# - t keeps 1 in S (1 is then the only source, so it reaches every
+#   vertex): 2^(n-m) P(n-1, m-1) d_(n-m);
+# - u keeps n in S: (1+x)^(n-m) P(n-1, m-1) d_(n-m);
+# - A keeps 1 out of S and weights each edge into 1 by w; the m edges
+#   from S into 1 give (1+xw)^m, and d/dw at w = 1 leaves
+#   P(n-1, m) (m x (1+x)^(m-1) d_(n-m) + (1+x)^m A_(n-m)).
+# B and Cw are not summed independently: they are checked through the
+# edge-insertion identities that tie them to d and A,
+#     B(n,k) = (n-1) d(n,k) - A(n,k) - A(n,k+1),
+#     Cw(n,k) = A(n,k) - d(n,k) + 2^(n-1) d(n-1,k).
+
+def _poly_add(*polys):
+    total = [0] * max(len(poly) for poly in polys)
+    for poly in polys:
+        for k, c in enumerate(poly):
+            total[k] += c
+    return total
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for jj, bj in enumerate(b):
+            out[i + jj] += ai * bj
+    return out
+
+
+def _scaled(c, poly):
+    return [c * v for v in poly]
+
+
+def _six_families_by_source_sets(n_max):
+    def power(e):  # (1+x)^e
+        return [math.comb(e, i) for i in range(e + 1)]
+
+    cross = {(0, 0): [1]}
+    for big in range(1, n_max + 1):
+        for m in range(big + 1):
+            cross[big, m] = _poly_add(
+                _poly_mul(power(big - m), cross.get((big - 1, m - 1), [0])),
+                _scaled(2 ** m, cross.get((big - 1, m), [0])))
+    d, t, u, a = {0: [1]}, {}, {}, {0: [0]}
+    for n in range(1, n_max + 1):
+        sums = {"d": [0], "t": [0], "u": [0], "A": [0]}
+        for m in range(1, n + 1):
+            sign = 1 if m % 2 else -1
+            rest = d[n - m]
+            sums["d"] = _poly_add(sums["d"], _scaled(
+                sign, _poly_mul(cross[n, m], rest)))
+            lower = _poly_mul(cross[n - 1, m - 1], rest)
+            sums["t"] = _poly_add(sums["t"], _scaled(
+                sign * 2 ** (n - m), lower))
+            sums["u"] = _poly_add(sums["u"], _scaled(
+                sign, _poly_mul(power(n - m), lower)))
+            if m < n:
+                into_one = [0] + _scaled(m, power(m - 1))
+                sums["A"] = _poly_add(sums["A"], _scaled(
+                    sign, _poly_mul(cross[n - 1, m], _poly_add(
+                        _poly_mul(into_one, rest),
+                        _poly_mul(power(m), a[n - m])))))
+        d[n], t[n], u[n], a[n] = sums["d"], sums["t"], sums["u"], sums["A"]
+
+    def cell(row, k):
+        return row[k] if k < len(row) else 0
+
+    families = {tag: {} for tag in ("d", "t", "u", "A", "B", "Cw")}
+    for n in range(1, n_max + 1):
+        ks = range(n * (n - 1) // 2 + 1)
+        families["d"][n] = [cell(d[n], k) for k in ks]
+        families["t"][n] = [cell(t[n], k) for k in ks]
+        families["u"][n] = [cell(u[n], k) for k in ks]
+        families["A"][n] = [cell(a[n], k) for k in ks]
+        families["B"][n] = [(n - 1) * cell(d[n], k) - cell(a[n], k)
+                            - cell(a[n], k + 1) for k in ks]
+        families["Cw"][n] = [cell(a[n], k) - cell(d[n], k)
+                             + 2 ** (n - 1) * cell(d[n - 1], k) for k in ks]
+    return families
+
+
+def test_six_families_match_source_sets_through_16():
+    """Every cell of d, t, u and A for n <= 16 against the source-set
+    sums; B and Cw against the identities above, which tie them to those
+    independently summed d and A rows."""
+    reference = _six_families_by_source_sets(16)
+    engine = DescentCounter()
+    engine.table(16)
+    lookup = {"d": engine.dag_count, "t": engine.spanning_from_lowest,
+              "u": engine.spanning_from_highest,
+              "A": engine.descent_incidences_into_lowest,
+              "B": engine.reachability_incidences_from_lowest,
+              "Cw": engine.lowest_indegree_overcount}
+    for family, rows in reference.items():
+        for n, row in rows.items():
+            actual = [lookup[family](n, k) for k in range(len(row))]
+            assert actual == row, f"{family} row {n}"
+
+
 # ----------------------------------------------------------------------
 # determinism and validation
 
