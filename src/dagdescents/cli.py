@@ -7,7 +7,8 @@ Four subcommands:
 - ``verify``: recompute everything from scratch and cross-check it against
   the golden fixture, the exhaustive enumerator, the labeled-DAG totals,
   the reciprocal-series identity, and the subset-pair histograms.
-- ``cache``: save, validate-load, or clear a memo snapshot file.
+- ``cache``: save, load (re-deriving every record), or clear a memo
+  snapshot file.
 
 Exit codes: 0 success, 1 verification or cache-data mismatch or an
 internal inconsistency (a filled count came out negative, as a poisoned
@@ -34,8 +35,6 @@ from .engine import (
 )
 from .golden import GOLDEN_COUNTS, GOLDEN_MAX_N
 from .oracle import MAX_ORACLE_N, enumerate_counts, subset_pair_histogram
-
-CHECK_NAMES = ("golden", "totals", "series", "subsets", "oracle")
 
 TABLE_FORMATS = ("csv", "json", "md", "latex")
 
@@ -93,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exhaustively enumerate up to this n "
                                "(default 4, max 6)")
     p_verify.add_argument("--allow-slow", action="store_true",
-                          help="permit the n=6 exhaustive run (2**30 masks)")
+                          help="permit the n=6 exhaustive run "
+                               "(3,781,503 DAGs, a few seconds)")
     p_verify.add_argument("--checks", default=",".join(CHECK_NAMES),
                           help="comma-separated subset of: "
                                + ", ".join(CHECK_NAMES))
@@ -188,10 +188,12 @@ FORMATTERS = {
 
 
 # ----------------------------------------------------------------------
-# verify checks: each returns None on success or a failure detail string
+# verify checks: each takes (counter, args) and returns None on success or
+# a failure detail string
 
-def _check_golden(counter: DescentCounter, max_n: int) -> str | None:
-    top = min(max_n, GOLDEN_MAX_N)
+def _check_golden(counter: DescentCounter,
+                  args: argparse.Namespace) -> str | None:
+    top = min(args.max_n, GOLDEN_MAX_N)
     for n in range(1, top + 1):
         expected_row = GOLDEN_COUNTS[n]
         actual_row = counter.table(n)[n - 1]
@@ -202,8 +204,9 @@ def _check_golden(counter: DescentCounter, max_n: int) -> str | None:
     return None
 
 
-def _check_totals(counter: DescentCounter, max_n: int) -> str | None:
-    for n in range(max_n + 1):
+def _check_totals(counter: DescentCounter,
+                  args: argparse.Namespace) -> str | None:
+    for n in range(args.max_n + 1):
         expected = labeled_dag_total(n)
         actual = counter.row_total(n)
         if actual != expected:
@@ -211,13 +214,15 @@ def _check_totals(counter: DescentCounter, max_n: int) -> str | None:
     return None
 
 
-def _check_series(max_n: int) -> str | None:
-    if not series_identity_check(max_n):
-        return f"reciprocal series identity fails by degree {max_n}"
+def _check_series(counter: DescentCounter,
+                  args: argparse.Namespace) -> str | None:
+    if not series_identity_check(args.max_n):
+        return f"reciprocal series identity fails by degree {args.max_n}"
     return None
 
 
-def _check_subsets() -> str | None:
+def _check_subsets(counter: DescentCounter,
+                   args: argparse.Namespace) -> str | None:
     for n in range(9):
         for j in range(n + 1):
             histogram = subset_pair_histogram(n, j)
@@ -229,10 +234,10 @@ def _check_subsets() -> str | None:
     return None
 
 
-def _check_oracle(counter: DescentCounter, oracle_max_n: int,
-                  allow_slow: bool) -> str | None:
-    for n in range(1, oracle_max_n + 1):
-        counts = enumerate_counts(n, allow_slow=allow_slow)
+def _check_oracle(counter: DescentCounter,
+                  args: argparse.Namespace) -> str | None:
+    for n in range(1, args.oracle_max_n + 1):
+        counts = enumerate_counts(n, allow_slow=args.allow_slow)
         per_family = (
             ("d", counter.dag_count, counts.by_descents.__getitem__),
             ("t", counter.spanning_from_lowest,
@@ -254,6 +259,25 @@ def _check_oracle(counter: DescentCounter, oracle_max_n: int,
                     return (f"{family} {n} {k} "
                             f"expected {expected} actual {actual}")
     return None
+
+
+#: The verify checks in run order: (name, check, scope(args) -> the text
+#: after "PASS name: ").
+VERIFY_CHECKS = (
+    ("golden", _check_golden,
+     lambda args: f"rows 1..{min(args.max_n, GOLDEN_MAX_N)} vs fixture"),
+    ("totals", _check_totals,
+     lambda args: f"row sums vs alternating recurrence, n <= {args.max_n}"),
+    ("series", _check_series,
+     lambda args: f"reciprocal series through degree {args.max_n}"),
+    ("subsets", _check_subsets,
+     lambda args: "pair histograms vs coefficients, n <= 8"),
+    ("oracle", _check_oracle,
+     lambda args: (f"six families vs exhaustive enumeration, "
+                   f"n <= {args.oracle_max_n}")),
+)
+
+CHECK_NAMES = tuple(name for name, _, _ in VERIFY_CHECKS)
 
 
 # ----------------------------------------------------------------------
@@ -305,37 +329,38 @@ def _cmd_verify(args: argparse.Namespace,
     if args.oracle_max_n > MAX_ORACLE_N:
         parser.error(f"--oracle-max-n is capped at {MAX_ORACLE_N}")
     if args.oracle_max_n == MAX_ORACLE_N and not args.allow_slow:
-        parser.error("--oracle-max-n 6 scans 2**30 masks; "
-                     "pass --allow-slow to confirm")
+        parser.error("--oracle-max-n 6 enumerates 3,781,503 DAGs "
+                     "(a few seconds); pass --allow-slow to confirm")
 
     counter = DescentCounter()  # deliberately cold: no cache preload
     failures = 0
-    for name in CHECK_NAMES:
+    for name, check, scope in VERIFY_CHECKS:
         if name not in requested:
             continue
-        if name == "golden":
-            detail = _check_golden(counter, args.max_n)
-            scope = f"rows 1..{min(args.max_n, GOLDEN_MAX_N)} vs fixture"
-        elif name == "totals":
-            detail = _check_totals(counter, args.max_n)
-            scope = f"row sums vs alternating recurrence, n <= {args.max_n}"
-        elif name == "series":
-            detail = _check_series(args.max_n)
-            scope = f"reciprocal series through degree {args.max_n}"
-        elif name == "subsets":
-            detail = _check_subsets()
-            scope = "pair histograms vs coefficients, n <= 8"
-        else:
-            detail = _check_oracle(counter, args.oracle_max_n,
-                                   args.allow_slow)
-            scope = (f"six families vs exhaustive enumeration, "
-                     f"n <= {args.oracle_max_n}")
+        detail = check(counter, args)
         if detail is None:
-            print(f"PASS {name}: {scope}")
+            print(f"PASS {name}: {scope(args)}")
         else:
             failures += 1
             print(f"FAIL {name}: {detail}")
     return 1 if failures else 0
+
+
+def _first_cache_conflict(
+        records: list[tuple[str, int, int, int]]) -> str | None:
+    """Re-derive every record on a cold counter; describe the first one
+    whose value differs, or return None when all of them agree."""
+    if not records:
+        return None
+    fresh = DescentCounter()
+    fresh.row_total(max(n for _, n, _, _ in records))
+    computed = {(family, n, k): value
+                for family, n, k, value in fresh.entries()}
+    for family, n, k, value in records:
+        expected = computed.get((family, n, k), 0)  # past C(n,2) is 0
+        if value != expected:
+            return f"{family} {n} {k} expected {expected}, cache has {value}"
+    return None
 
 
 def _cmd_cache(args: argparse.Namespace,
@@ -360,6 +385,11 @@ def _cmd_cache(args: argparse.Namespace,
             cache_io.apply_records(counter, records)
         except cache_io.CacheError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        conflict = _first_cache_conflict(records)
+        if conflict is not None:
+            print(f"error: cache conflicts with computed values: {conflict}",
+                  file=sys.stderr)
             return 1
         print(f"loaded {len(records)} entries from {path} "
               f"(fixture overlap verified)")

@@ -1,30 +1,36 @@
-"""Exhaustive ground-truth enumeration of labeled digraphs.
+"""Exhaustive ground-truth enumeration of labeled DAGs.
 
-This is the brute-force side of the differential test setup: iterate over
-every possible edge set on n vertices, keep the acyclic ones, and tally
-the same statistics the recurrence engine computes.  The two
-implementations share no counting logic, so exact agreement on small n is
-strong evidence for both.
+This is the brute-force side of the differential test setup: build every
+acyclic digraph on n vertices, one at a time, and tally the same
+statistics the recurrence engine computes.  The two implementations
+share no counting logic, so exact agreement on small n is strong
+evidence for both.
 
-Vertices carry labels 1..n.  An edge x -> y with x > y is a descent.  An
-edge set is encoded as a bitmask over the n*(n-1) ordered pairs (x, y)
-with x != y, taken in lexicographic order:
+Vertices carry labels 1..n.  An edge x -> y with x > y is a descent.
+``enumerate_counts`` adds the labels in increasing order, so the edges
+from each new label to lower ones are exactly its descents, and it only
+offers in-edges that cannot close a cycle.
+
+``Dag`` is the small per-graph reference that the enumerator is tested
+against.  It encodes an edge set as a bitmask over the n*(n-1) ordered
+pairs (x, y) with x != y, taken in lexicographic order:
 
     (1,2), (1,3), ..., (1,n), (2,1), (2,3), ..., (n,n-1)
 
-Bit p of the mask is set iff the p-th pair in that order is an edge.  The
-ordering is load-bearing: chunked enumeration runs and stored fixtures
-rely on it, so it must never change.
+Bit p of the mask is set iff the p-th pair in that order is an edge.
+``Dag`` masks rely on this order, so it must never change.
 
-Enumeration cost is 2**(n*(n-1)) masks: n=5 is ~10^6 (seconds), n=6 is
-~10^9 and takes hours in pure Python, so it sits behind an explicit
-``allow_slow`` override.  Larger n is refused outright.
+Enumeration cost is one step per DAG: n=5 has 29,281 DAGs (0.01-0.02 s)
+and n=6 has 3,781,503 (1.5-2.7 s on a 2-core host, Python 3.11), so n=6
+sits behind an explicit ``allow_slow`` override.  Larger n
+(1,138,779,265 DAGs at n=7) is refused outright.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 MAX_ORACLE_N = 6
 
@@ -181,7 +187,7 @@ class OracleCounts:
     - ``lowest_indegree[k][m]``: graphs with exactly m edges into
       vertex 1.
 
-    Tables from disjoint mask ranges merge by ``+``.
+    Tables over disjoint sets of graphs merge by ``+``.
     """
 
     n: int
@@ -244,18 +250,34 @@ class OracleCounts:
                    for m, c in enumerate(self.lowest_indegree[k]) if m >= 2)
 
 
-def enumerate_counts(n: int, *, allow_slow: bool = False,
-                     mask_range: tuple[int, int] | None = None) -> OracleCounts:
-    """Count every acyclic digraph on n vertices by brute force.
+def _subsets(bits: int) -> Iterator[int]:
+    """Every subset of the bitset ``bits``, itself first and 0 last."""
+    subset = bits
+    while subset:
+        yield subset
+        subset = (subset - 1) & bits
+    yield 0
 
-    Scans edge masks in ``mask_range`` (default: all 2**(n*(n-1)) of
-    them), skipping cyclic graphs, and accumulates an ``OracleCounts``.
-    Splitting the full range into disjoint chunks and summing the
-    results reproduces the full-range table exactly, so runs may be
-    chunked or parallelised freely.
 
-    n = 6 means 2**30 masks (hours in pure Python) and therefore
-    requires ``allow_slow=True``; n > 6 is refused.
+def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
+    """Count every acyclic digraph on n vertices by building each once.
+
+    Labels are added in the order 1, 2, ..., n.  Label v chooses an
+    out-set O among the lower labels (those edges are exactly v's
+    descents) and then an in-set I among the lower labels it cannot
+    reach, so that no edge closes a cycle.  A DAG restricted to the
+    labels 1..v is a DAG, and (O, I) fixes the edges of v, so every DAG
+    is visited exactly once.  A descendant bitset is kept per vertex:
+    v reaches itself and the descendants of O, and every earlier vertex
+    that reaches I gains all of that.
+
+    Each finished DAG is tallied once by its signature (descents, the
+    labels m with an edge m -> 1, the labels reachable from 1, whether n
+    reaches everything); the signatures are expanded into the tables at
+    the end.
+
+    n = 6 visits 3,781,503 DAGs (a few seconds) and therefore requires
+    ``allow_slow=True``; n > 6 is refused.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
@@ -265,88 +287,56 @@ def enumerate_counts(n: int, *, allow_slow: bool = False,
             f"got n={n}")
     if n == MAX_ORACLE_N and not allow_slow:
         raise ValueError(
-            "n=6 scans 2**30 edge masks and takes hours; "
+            "n=6 enumerates 3,781,503 DAGs and takes seconds; "
             "pass allow_slow=True to run it anyway")
 
-    bits_per_vertex = n - 1
-    block_mask = (1 << bits_per_vertex) - 1
     full = (1 << n) - 1
-    total_bits = n * (n - 1)
-    start, stop = mask_range if mask_range is not None else (0, 1 << total_bits)
-    if not 0 <= start <= stop <= 1 << total_bits:
-        raise ValueError(f"mask_range {mask_range!r} out of bounds for n={n}")
+    tally: dict[tuple[int, int, int, bool], int] = {}
 
-    # Per-vertex lookup tables over the 2**(n-1) possible out-edge blocks.
-    # Block bit b of vertex index x targets label b+1 if b < x else b+2,
-    # matching the lexicographic pair order in the module docstring.
-    out_table = []
-    descent_table = []
-    for x in range(n):
-        out_row = [0] * (block_mask + 1)
-        for v in range(block_mask + 1):
-            targets = 0
-            pending = v
+    def extend(desc: list[int], k: int, into_lowest: int) -> None:
+        # desc[u]: reflexive descendants of label u+1 (bit b = label b+1)
+        v = len(desc)
+        bit = 1 << v
+        for out in range(bit):
+            reach = bit
+            pending = out
             while pending:
                 low = pending & -pending
-                b = low.bit_length() - 1
-                targets |= 1 << (b if b < x else b + 1)
+                reach |= desc[low.bit_length() - 1]
                 pending ^= low
-            out_row[v] = targets
-        out_table.append(out_row)
-        low_bits = (1 << x) - 1
-        descent_table.append(
-            [(v & low_bits).bit_count() for v in range(block_mask + 1)])
+            free = (bit - 1) & ~reach
+            k_out = k + out.bit_count()
+            into_out = into_lowest | bit if out & 1 else into_lowest
+            if v == n - 1:
+                # Last label: only vertex 1's final reach varies with I.
+                lowest = desc[0] if desc else reach
+                spans_high = reach == full
+                miss = (k_out, into_out, lowest, spans_high)
+                hit = (k_out, into_out, lowest | reach, spans_high)
+                for in_set in _subsets(free):
+                    key = hit if lowest & in_set else miss
+                    tally[key] = tally.get(key, 0) + 1
+                continue
+            for in_set in _subsets(free):
+                grown = [d | reach if d & in_set else d for d in desc]
+                grown.append(reach)
+                extend(grown, k_out, into_out)
+
+    extend([], 0, 0)
 
     counts = OracleCounts.zeros(n)
-    by_descents = counts.by_descents
-    spanning_lo = counts.spanning_from_lowest
-    spanning_hi = counts.spanning_from_highest
-    edge_into_lo = counts.edge_into_lowest
-    reach_from_lo = counts.vertex_reachable_from_lowest
-    indegree_lo = counts.lowest_indegree
-    shifts = tuple(x * bits_per_vertex for x in range(n))
-    highest_bit = 1 << (n - 1)
-
-    for mask in range(start, stop):
-        blocks = [(mask >> s) & block_mask for s in shifts]
-        adj = [row[v] for row, v in zip(out_table, blocks)]
-
-        # Peel sinks; anything left over lies on a cycle.
-        remaining = full
-        while remaining:
-            removable = 0
-            pending = remaining
-            while pending:
-                low = pending & -pending
-                if adj[low.bit_length() - 1] & remaining == 0:
-                    removable |= low
-                pending ^= low
-            if removable == 0:
-                break
-            remaining ^= removable
-        if remaining:
-            continue
-
-        k = sum(row[v] for row, v in zip(descent_table, blocks))
-        by_descents[k] += 1
-
-        reach_lo = _reachable(adj, 1)
-        if reach_lo == full:
-            spanning_lo[k] += 1
-        if _reachable(adj, highest_bit) == full:
-            spanning_hi[k] += 1
-
-        indegree = 0
-        edge_row = edge_into_lo[k]
-        reach_row = reach_from_lo[k]
+    for (k, into_lowest, lowest, spans_high), count in tally.items():
+        counts.by_descents[k] += count
+        if lowest == full:
+            counts.spanning_from_lowest[k] += count
+        if spans_high:
+            counts.spanning_from_highest[k] += count
+        counts.lowest_indegree[k][into_lowest.bit_count()] += count
         for m in range(2, n + 1):
-            if blocks[m - 1] & 1:  # block bit 0 of vertex m is the edge m->1
-                edge_row[m] += 1
-                indegree += 1
-            if (reach_lo >> (m - 1)) & 1:
-                reach_row[m] += 1
-        indegree_lo[k][indegree] += 1
-
+            if (into_lowest >> (m - 1)) & 1:
+                counts.edge_into_lowest[k][m] += count
+            if (lowest >> (m - 1)) & 1:
+                counts.vertex_reachable_from_lowest[k][m] += count
     return counts
 
 

@@ -234,6 +234,19 @@ def test_cache_load_rejects_fixture_conflict(tmp_path, capsys):
     assert "d 3 1 expected 11, cache has 12" in err
 
 
+def test_cache_load_rederives_deep_records(tmp_path, capsys):
+    # d(9,36) is 1: only the graph with every edge x -> y, x > y, has
+    # C(9,2) = 36 descents.  The fixture stops at n = 8, so only a
+    # recomputation can catch this record.
+    path = tmp_path / "deep.cache"
+    path.write_text(f"{HEADER}\nd 9 36 2\n")
+    assert run_cli("cache", "load", "--path", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cache conflicts with computed values: "
+                            "d 9 36 expected 1, cache has 2\n")
+
+
 def test_cache_save_unwritable(tmp_path, capsys):
     assert run_cli("cache", "save", "--path", str(tmp_path),
                    "--max-n", "2") == 2
