@@ -7,54 +7,39 @@ recurrences (`DescentCounter`), and ships the machinery used to trust
 those numbers: an exhaustive brute-force enumerator for small n, a
 golden fixture of known-good values, classical cross-checks on the row
 totals, and a persisted-cache format plus CLI.
+
+The public names below load on first use: importing the package (or
+running ``python -m dagdescents``) imports no submodule, so a command
+only pays for the modules it runs.
 """
-from .combinatorics import (
-    binomial,
-    gaussian_coefficient,
-    gaussian_coeffs,
-    partition_count,
-    pow2,
-    two_factorial,
-)
-from .engine import (
-    FAMILIES,
-    DescentCounter,
-    labeled_dag_total,
-    series_identity_check,
-)
-from .golden import GOLDEN_COUNTS, GOLDEN_MAX_N, GOLDEN_TOTALS, golden_value
-from .oracle import (
-    Dag,
-    DagStats,
-    OracleCounts,
-    enumerate_counts,
-    is_acyclic,
-    stats,
-    subset_pair_histogram,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "binomial",
-    "gaussian_coeffs",
-    "gaussian_coefficient",
-    "partition_count",
-    "pow2",
-    "two_factorial",
-    "FAMILIES",
-    "DescentCounter",
-    "labeled_dag_total",
-    "series_identity_check",
-    "GOLDEN_COUNTS",
-    "GOLDEN_MAX_N",
-    "GOLDEN_TOTALS",
-    "golden_value",
-    "Dag",
-    "DagStats",
-    "OracleCounts",
-    "enumerate_counts",
-    "is_acyclic",
-    "stats",
-    "subset_pair_histogram",
-]
+#: Public name -> the submodule that defines it, grouped by submodule.
+_EXPORTS = {
+    "combinatorics": ("binomial", "gaussian_coeffs", "gaussian_coefficient",
+                      "partition_count", "pow2", "two_factorial"),
+    "engine": ("FAMILIES", "DescentCounter", "labeled_dag_total",
+               "series_identity_check"),
+    "golden": ("GOLDEN_COUNTS", "GOLDEN_MAX_N", "GOLDEN_TOTALS",
+               "golden_value"),
+    "oracle": ("Dag", "DagStats", "OracleCounts", "enumerate_counts",
+               "is_acyclic", "stats", "subset_pair_histogram"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = getattr(importlib.import_module(f".{module}", __name__),
+                            name)
+            globals()[name] = value  # later lookups skip this hook
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -18,14 +18,12 @@ point of the file).
 from __future__ import annotations
 
 import os
+import sys
 
 from .engine import FAMILIES, DescentCounter
 from .golden import golden_value
 
 HEADER = "DESCENTS-CACHE v1"
-
-#: Environment variable that may supply a default cache path for the CLI.
-ENV_VAR = "DESCENTS_CACHE"
 
 
 class CacheError(Exception):
@@ -69,12 +67,17 @@ def load_records(path: str | os.PathLike) -> list[tuple[str, int, int, int]]:
                 and value_text.isdigit()):
             raise CacheError(f"line {lineno}: fields must be decimal "
                              f"integers: {line!r}")
-        key = (family, int(n_text), int(k_text))
-        if key in seen:
+        try:
+            n, k, value = int(n_text), int(k_text), int(value_text)
+        except ValueError:  # past the interpreter's int/str digit limit
+            limit = sys.get_int_max_str_digits()
+            raise CacheError(f"line {lineno}: integer field longer than "
+                             f"{limit} digits") from None
+        if (family, n, k) in seen:
             raise CacheError(f"line {lineno}: duplicate key "
-                             f"{family} {key[1]} {key[2]}")
-        seen.add(key)
-        records.append((family, key[1], key[2], int(value_text)))
+                             f"{family} {n} {k}")
+        seen.add((family, n, k))
+        records.append((family, n, k, value))
     return records
 
 

@@ -21,11 +21,9 @@ recurrences.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import cache as cache_io
 from .combinatorics import gaussian_coefficient
 from .engine import (
     DescentCounter,
@@ -34,9 +32,15 @@ from .engine import (
     series_identity_check,
 )
 from .golden import GOLDEN_COUNTS, GOLDEN_MAX_N
-from .oracle import MAX_ORACLE_N, enumerate_counts, subset_pair_histogram
+
+# Every call pays for the imports above at start-up, so they are only
+# what ``value`` and ``table`` run.  The oracle, json and the cache
+# module are imported inside the code that uses them.
 
 TABLE_FORMATS = ("csv", "json", "md", "latex")
+
+#: Environment variable that may supply a default cache path.
+CACHE_ENV_VAR = "DESCENTS_CACHE"
 
 
 def _nonnegative(text: str) -> int:
@@ -128,6 +132,8 @@ def format_csv(rows: list[list[int]], max_k: int | None) -> str:
 
 
 def format_json(rows: list[list[int]], max_k: int | None) -> str:
+    import json
+
     payload = {
         "max_n": len(rows),
         "d": {str(index + 1): [str(count) for count in _capped(row, max_k)]
@@ -223,6 +229,8 @@ def _check_series(counter: DescentCounter,
 
 def _check_subsets(counter: DescentCounter,
                    args: argparse.Namespace) -> str | None:
+    from .oracle import subset_pair_histogram
+
     for n in range(9):
         for j in range(n + 1):
             histogram = subset_pair_histogram(n, j)
@@ -236,6 +244,8 @@ def _check_subsets(counter: DescentCounter,
 
 def _check_oracle(counter: DescentCounter,
                   args: argparse.Namespace) -> str | None:
+    from .oracle import enumerate_counts
+
     for n in range(1, args.oracle_max_n + 1):
         counts = enumerate_counts(n, allow_slow=args.allow_slow)
         per_family = (
@@ -287,9 +297,11 @@ def _preload_from_env() -> DescentCounter:
     """A counter preloaded from $DESCENTS_CACHE; a cache that fails
     validation is ignored with a warning, never fatal."""
     counter = DescentCounter()
-    path = os.environ.get(cache_io.ENV_VAR)
+    path = os.environ.get(CACHE_ENV_VAR)
     if not path or not os.path.exists(path):
         return counter
+    from . import cache as cache_io
+
     try:
         cache_io.apply_records(counter, cache_io.load_records(path))
     except cache_io.CacheError as exc:
@@ -320,6 +332,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
+    from .oracle import MAX_ORACLE_N
+
     requested = [name.strip() for name in args.checks.split(",")
                  if name.strip()]
     unknown = [name for name in requested if name not in CHECK_NAMES]
@@ -365,7 +379,9 @@ def _first_cache_conflict(
 
 def _cmd_cache(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    path = args.path or os.environ.get(cache_io.ENV_VAR)
+    from . import cache as cache_io
+
+    path = args.path or os.environ.get(CACHE_ENV_VAR)
     if not path:
         parser.error("no cache path: pass --path or set $DESCENTS_CACHE")
     if args.action == "save":

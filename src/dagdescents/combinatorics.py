@@ -31,7 +31,9 @@ def pow2(e: int) -> int:
 def two_factorial(n: int) -> int:
     """Product (2^1 - 1)(2^2 - 1) ... (2^n - 1), the q-factorial [n]_q! at q=2.
 
-    The empty product (n = 0) is 1.
+    The empty product (n = 0) is 1.  Only the tests use it, as an
+    independent check: t(n,0), the descent-free DAGs in which vertex 1
+    reaches every vertex, must equal two_factorial(n-1).
     """
     if n < 0:
         raise ValueError(f"two_factorial: n must be nonnegative, got {n}")
@@ -84,8 +86,8 @@ def partition_count(total: int, num_parts: int, max_part: int) -> int:
 
     Zero parts are permitted, so partition_count(0, p, m) == 1.  This is
     the classical combinatorial meaning of the Gaussian binomial
-    coefficient and serves as an independent check on gaussian_coeffs,
-    which is computed by a different recurrence.
+    coefficient.  Only the tests use it, as an independent check on
+    gaussian_coeffs, which is computed by a different recurrence.
     """
     if total < 0:
         return 0

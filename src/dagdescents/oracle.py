@@ -28,7 +28,7 @@ sits behind an explicit ``allow_slow`` override.  Larger n
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
@@ -47,22 +47,21 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
     return {pair: p for p, pair in enumerate(ordered_pairs(n))}
 
 
-@dataclass(frozen=True)
-class Dag:
+class Dag(namedtuple("Dag", "n mask")):
     """A labeled digraph on vertices 1..n held as an edge bitmask.
 
     Despite the name, the mask may describe a cyclic graph; only
     ``stats`` insists on acyclicity.  Self-loops are unrepresentable.
     """
 
-    n: int
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"Dag needs at least one vertex, got n={self.n}")
-        if not 0 <= self.mask < 1 << (self.n * (self.n - 1)):
-            raise ValueError(f"edge mask out of range for n={self.n}")
+    def __new__(cls, n: int, mask: int) -> "Dag":
+        if n < 1:
+            raise ValueError(f"Dag needs at least one vertex, got n={n}")
+        if not 0 <= mask < 1 << (n * (n - 1)):
+            raise ValueError(f"edge mask out of range for n={n}")
+        return super().__new__(cls, n, mask)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Dag":
@@ -81,8 +80,9 @@ class Dag:
                      if (self.mask >> p) & 1)
 
 
-@dataclass(frozen=True)
-class DagStats:
+class DagStats(namedtuple("DagStats", "descents reachable_from_lowest "
+                                      "reachable_from_highest "
+                                      "predecessors_of_lowest")):
     """Per-graph statistics over an acyclic digraph.
 
     ``reachable_from_lowest`` / ``reachable_from_highest`` are the label
@@ -91,10 +91,7 @@ class DagStats:
     m -> 1; every such edge is a descent, since m > 1.
     """
 
-    descents: int
-    reachable_from_lowest: frozenset[int]
-    reachable_from_highest: frozenset[int]
-    predecessors_of_lowest: frozenset[int]
+    __slots__ = ()
 
     @property
     def descents_into_lowest(self) -> int:
@@ -169,8 +166,10 @@ def stats(g: Dag) -> DagStats:
     )
 
 
-@dataclass
-class OracleCounts:
+class OracleCounts(namedtuple("OracleCounts", (
+        "n", "by_descents", "spanning_from_lowest", "spanning_from_highest",
+        "edge_into_lowest", "vertex_reachable_from_lowest",
+        "lowest_indegree"))):
     """Exhaustive count tables for one vertex count n.
 
     All lists are indexed by descent count k = 0..C(n,2).  The
@@ -190,13 +189,7 @@ class OracleCounts:
     Tables over disjoint sets of graphs merge by ``+``.
     """
 
-    n: int
-    by_descents: list[int]
-    spanning_from_lowest: list[int]
-    spanning_from_highest: list[int]
-    edge_into_lowest: list[list[int]]
-    vertex_reachable_from_lowest: list[list[int]]
-    lowest_indegree: list[list[int]]
+    __slots__ = ()
 
     @classmethod
     def zeros(cls, n: int) -> "OracleCounts":

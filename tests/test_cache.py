@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dagdescents.cache import (
@@ -9,6 +11,12 @@ from dagdescents.cache import (
     save_cache,
 )
 from dagdescents.engine import DescentCounter
+
+
+# Python 3.10.7+ limits int() on text to 4,300 digits by default.
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python has no int/str digit limit")
 
 
 def _filled(n_max):
@@ -102,6 +110,15 @@ def test_non_decimal_fields(tmp_path, line):
     path = tmp_path / "bad.cache"
     path.write_text(f"{HEADER}\n{line}\n")
     with pytest.raises(CacheError, match="decimal"):
+        load_records(path)
+
+
+@needs_digit_limit
+def test_oversized_integer_is_a_cache_error(tmp_path):
+    # past Python's default 4,300-digit limit, int() itself raises
+    path = tmp_path / "bad.cache"
+    path.write_text(f"{HEADER}\nd 3 1 11\nd 3 0 {'9' * 5000}\n")
+    with pytest.raises(CacheError, match="line 3: integer field longer"):
         load_records(path)
 
 

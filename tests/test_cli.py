@@ -1,10 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dagdescents import cli, golden
 from dagdescents.cache import HEADER
 from dagdescents.engine import labeled_dag_total
+
+
+# Python 3.10.7+ limits int() on text to 4,300 digits by default.
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python has no int/str digit limit")
 
 
 @pytest.fixture(autouse=True)
@@ -20,8 +30,50 @@ def run_cli(*argv):
         return exc.code
 
 
+def run_python(*args, cache=None):
+    """Run a fresh interpreter on the package's sources, so that import
+    side effects and any uncaught traceback can be seen."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "DESCENTS_CACHE"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    if cache is not None:
+        env["DESCENTS_CACHE"] = str(cache)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def run_module(*argv, cache=None):
+    return run_python("-m", "dagdescents", *argv, cache=cache)
+
+
 # ----------------------------------------------------------------------
 # value
+
+# Records the modules loaded before the package, so that whatever the
+# host's ``site`` preloads does not count against it.
+VALUE_SCRIPT = """
+import sys
+before = set(sys.modules)
+from dagdescents import cli
+code = cli.main(["value", "--n", "4", "--k", "3"])
+print(code, " ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_value_imports_neither_oracle_nor_cache():
+    result = run_python("-c", VALUE_SCRIPT)
+    assert result.returncode == 0, result.stderr
+    value, last = result.stdout.splitlines()
+    assert value == "102"
+    code, *added = last.split()
+    assert code == "0"
+    assert "dagdescents.engine" in added
+    not_for_value = ("dagdescents.oracle", "dagdescents.cache",
+                     "dataclasses", "fractions", "json")
+    assert [name for name in not_for_value if name in added] == []
+
 
 def test_value_golden(capsys):
     assert run_cli("value", "--n", "4", "--k", "3") == 0
@@ -247,6 +299,17 @@ def test_cache_load_rederives_deep_records(tmp_path, capsys):
                             "d 9 36 expected 1, cache has 2\n")
 
 
+@needs_digit_limit
+def test_cache_load_oversized_integer_exits_1(tmp_path):
+    path = tmp_path / "long.cache"
+    path.write_text(f"{HEADER}\nd 3 0 {'9' * 5000}\n")
+    result = run_module("cache", "load", "--path", str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == ("error: line 2: integer field longer than "
+                             f"{sys.get_int_max_str_digits()} digits\n")
+
+
 def test_cache_save_unwritable(tmp_path, capsys):
     assert run_cli("cache", "save", "--path", str(tmp_path),
                    "--max-n", "2") == 2
@@ -276,6 +339,18 @@ def test_corrupt_env_cache_warns_and_continues(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == "6698\n"
     assert captured.err.startswith(f"warning: ignoring cache {path}:")
+
+
+@needs_digit_limit
+def test_oversized_env_cache_warns_and_continues(tmp_path):
+    path = tmp_path / "long.cache"
+    path.write_text(f"{HEADER}\nd 3 0 {'9' * 5000}\n")
+    result = run_module("value", "--n", "3", "--k", "0", cache=path)
+    assert result.returncode == 0
+    assert result.stdout == "8\n"
+    assert result.stderr == (f"warning: ignoring cache {path}: line 2: "
+                             "integer field longer than "
+                             f"{sys.get_int_max_str_digits()} digits\n")
 
 
 def test_poisoned_env_cache_exits_cleanly(tmp_path, monkeypatch, capsys):

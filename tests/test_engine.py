@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dagdescents import engine
 from dagdescents.combinatorics import gaussian_coefficient, pow2, two_factorial
 from dagdescents.engine import (
     DescentCounter,
@@ -281,6 +282,16 @@ def test_series_identity_holds_through_degree_8():
         assert series_identity_check(degree)
     with pytest.raises(ValueError):
         series_identity_check(-1)
+
+
+def test_series_identity_holds_through_degree_40_and_can_fail(monkeypatch):
+    assert all(series_identity_check(degree) for degree in range(41))
+    true_total = engine.labeled_dag_total
+    monkeypatch.setattr(
+        engine, "labeled_dag_total",
+        lambda m: true_total(m) + (m == 5))
+    assert series_identity_check(4)
+    assert not series_identity_check(8)
 
 
 def test_labeled_dag_total_sequence():

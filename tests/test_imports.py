@@ -1,0 +1,30 @@
+"""The package's public names load on first use."""
+import pytest
+
+import dagdescents
+
+
+@pytest.mark.parametrize("name", dagdescents.__all__)
+def test_every_public_name_resolves(name):
+    value = getattr(dagdescents, name)
+    assert value is not None
+    assert getattr(dagdescents, name) is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from dagdescents import *", namespace)
+    assert set(dagdescents.__all__) <= set(namespace)
+    assert namespace["DescentCounter"] is dagdescents.DescentCounter
+    assert namespace["enumerate_counts"] is dagdescents.enumerate_counts
+
+
+def test_dir_lists_every_public_name():
+    assert set(dagdescents.__all__) <= set(dir(dagdescents))
+    assert "__version__" in dir(dagdescents)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dagdescents.no_such_name
+    assert not hasattr(dagdescents, "no_such_name")

@@ -4,6 +4,7 @@ from dagdescents.engine import labeled_dag_total
 from dagdescents.combinatorics import gaussian_coefficient
 from dagdescents.oracle import (
     Dag,
+    DagStats,
     OracleCounts,
     enumerate_counts,
     is_acyclic,
@@ -32,6 +33,66 @@ def test_dag_rejects_bad_input():
         Dag(3, 1 << 6)  # only 6 pair bits exist for n=3
     with pytest.raises(ValueError):
         Dag(0, 0)
+
+
+def test_dag_is_an_immutable_hashable_value():
+    g = Dag(3, 5)
+    with pytest.raises(AttributeError):
+        g.mask = 6
+    with pytest.raises(AttributeError):
+        g.n = 4
+    assert (g.n, g.mask) == (3, 5)
+    assert g == Dag(3, 5) == Dag.from_edges(3, g.edges())
+    assert g != Dag(3, 6)
+    assert len({g, Dag(3, 5), Dag(3, 6)}) == 2
+
+
+def test_dag_stats_fields_in_order():
+    s = DagStats(2, frozenset({1}), frozenset({1, 3}), frozenset({2, 3}))
+    assert s.descents == 2
+    assert s.reachable_from_lowest == frozenset({1})
+    assert s.reachable_from_highest == frozenset({1, 3})
+    assert s.predecessors_of_lowest == frozenset({2, 3})
+    assert s.descents_into_lowest == 2
+    with pytest.raises(AttributeError):
+        s.descents = 3
+    assert s == stats(Dag.from_edges(3, [(2, 1), (3, 1), (2, 3)]))
+    assert len({s, DagStats(2, frozenset({1}), frozenset({1, 3}),
+                            frozenset({2, 3}))}) == 1
+
+
+def test_oracle_counts_zeros_and_equality():
+    zeros = OracleCounts.zeros(3)
+    assert zeros.n == 3
+    assert zeros.by_descents == [0, 0, 0, 0]
+    assert zeros.spanning_from_lowest == [0, 0, 0, 0]
+    assert zeros.spanning_from_highest == [0, 0, 0, 0]
+    for table in (zeros.edge_into_lowest, zeros.vertex_reachable_from_lowest,
+                  zeros.lowest_indegree):
+        assert table == [[0] * 4 for _ in range(4)]
+    # the rows are independent lists, not aliases of one row
+    zeros.edge_into_lowest[0][2] = 1
+    assert zeros.edge_into_lowest[1][2] == 0
+    assert zeros != OracleCounts.zeros(3)
+    assert OracleCounts.zeros(3) == OracleCounts.zeros(3)
+    assert OracleCounts.zeros(3) != OracleCounts.zeros(4)
+    assert enumerate_counts(3) == enumerate_counts(3)
+
+
+def test_oracle_counts_add_sums_every_table():
+    counts = enumerate_counts(3)
+    doubled = counts + enumerate_counts(3)
+    assert doubled.n == 3
+    assert doubled.by_descents == [16, 22, 10, 2]
+    assert doubled.spanning_from_lowest == [6, 4, 0, 0]
+    assert doubled.spanning_from_highest == [0, 2, 6, 2]
+    for name in ("edge_into_lowest", "vertex_reachable_from_lowest",
+                 "lowest_indegree"):
+        assert getattr(doubled, name) == [
+            [2 * c for c in row] for row in getattr(counts, name)], name
+    assert counts == enumerate_counts(3)  # operands are left unchanged
+    with pytest.raises(TypeError):
+        counts + 1
 
 
 def test_is_acyclic():
