@@ -9,18 +9,19 @@ File layout (one record per line; a header with zero records is legal):
     ...
 
 Each record is "<family> <n> <k> <decimal-value>" with the family drawn
-from the engine's six tags.  Keys must not repeat.  Loading validates the
-syntax strictly and then re-checks every record that overlaps the golden
-fixture, so a cache file cannot silently smuggle wrong d values for
-n <= 8; everything else is trusted (it skips recomputation, which is the
-point of the file).
+from the engine's six tags and n at most the engine's ``MAX_N``.  Keys
+must not repeat.  Loading validates the syntax strictly and then
+re-checks every record that overlaps the golden fixture, so a cache file
+cannot silently smuggle wrong d values for n <= 8; everything else is
+trusted (it skips recomputation, which is the point of the file), apart
+from the insertion identities the engine checks on every level it fills.
 """
 from __future__ import annotations
 
 import os
 import sys
 
-from .engine import FAMILIES, DescentCounter
+from .engine import FAMILIES, MAX_N, DescentCounter
 from .golden import golden_value
 
 HEADER = "DESCENTS-CACHE v1"
@@ -73,6 +74,9 @@ def load_records(path: str | os.PathLike) -> list[tuple[str, int, int, int]]:
             limit = sys.get_int_max_str_digits()
             raise CacheError(f"line {lineno}: integer field longer than "
                              f"{limit} digits") from None
+        if n > MAX_N:
+            raise CacheError(f"line {lineno}: n = {n} is above the "
+                             f"supported maximum {MAX_N}")
         if (family, n, k) in seen:
             raise CacheError(f"line {lineno}: duplicate key "
                              f"{family} {n} {k}")

@@ -11,12 +11,13 @@ Four subcommands:
   snapshot file.
 
 Exit codes: 0 success, 1 verification or cache-data mismatch or an
-internal inconsistency (a filled count came out negative, as a poisoned
-cache can cause), 2 usage error.  The DESCENTS_CACHE environment
-variable supplies a default cache path; ``value`` and ``table`` preload
-it when it exists (ignoring it with a warning if it fails validation),
-while ``verify`` always starts cold so the checks actually exercise the
-recurrences.
+internal inconsistency (a filled count came out negative or broke an
+insertion identity, as a poisoned cache can cause), 2 usage error,
+including a vertex count above ``engine.MAX_N``.  The DESCENTS_CACHE
+environment variable supplies a default cache path; ``value`` and
+``table`` preload it when it exists (ignoring it with a warning if it
+fails validation), while ``verify`` always starts cold so the checks
+actually exercise the recurrences.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import sys
 
 from .combinatorics import gaussian_coefficient
 from .engine import (
+    MAX_N,
     DescentCounter,
     EngineInconsistency,
     labeled_dag_total,
@@ -53,8 +55,15 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _positive(text: str) -> int:
+def _vertex_count(text: str) -> int:
     value = _nonnegative(text)
+    if value > MAX_N:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_N}, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = _vertex_count(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -69,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_value = sub.add_parser(
         "value", help="print a single count d(n,k)")
-    p_value.add_argument("--n", type=_nonnegative, required=True,
+    p_value.add_argument("--n", type=_vertex_count, required=True,
                          help="number of vertices")
     p_value.add_argument("--k", type=_nonnegative, required=True,
                          help="number of descents")

@@ -26,6 +26,20 @@ reachable through several insertions are compensated by Cw:
     d(n,k) = 2^(n-1) d(n-1,k) + (n-1) d(n,k-1)
              - A(n,k-1) - B(n,k-1) - Cw(n,k)
 
+Counting the outcomes of those insertions gives the two identities
+behind it.  Each pair (graph with k-1 descents, m) repeats an edge (A),
+closes a cycle (B), or yields a graph with k descents and the edge
+m -> 1 (A at k).  With c_j the graphs in which vertex 1 has in-degree
+j, A - d = Cw - c_0, and c_0 = 2^(n-1) d(n-1,k) counts those in which
+vertex 1 is a source:
+
+    (i)  (n-1) d(n,k-1) = A(n,k-1) + B(n,k-1) + A(n,k)
+    (ii) Cw(n,k) = A(n,k) - d(n,k) + 2^(n-1) d(n-1,k)
+
+Eliminating A(n,k) between them gives the d recurrence.  Both are
+checked on every level once it fills, staged cells included, so a wrong
+cell raises ``EngineInconsistency`` instead of reaching an answer.
+
 The five other families are built a whole row at a time.  Each splits
 the vertices into a set X of j vertices closed under reachability from
 a root (vertex n for t, vertex 1 for the rest) and its complement Y of
@@ -74,9 +88,15 @@ from .combinatorics import (
 #: Family tags, also used as the on-disk cache vocabulary.
 FAMILIES = ("d", "t", "u", "A", "B", "Cw")
 
+#: Largest vertex count the CLI and the cache accept.  Provisional: a
+#: cold fill to n = 40 takes about 49 s; the ceiling should follow the
+#: engine's measured depth once deep fills get faster.
+MAX_N = 40
+
 
 class EngineInconsistency(RuntimeError):
-    """A filled cell came out negative, so some input row was wrong."""
+    """A filled cell came out negative or broke an insertion identity, so
+    some input row was wrong."""
 
 
 class DescentCounter:
@@ -264,6 +284,23 @@ class DescentCounter:
                 raise EngineInconsistency(
                     f"internal inconsistency: d({n},{k}) = {value}")
             d_row[k] = value
+
+        # The insertion identities (module docstring) on the whole level,
+        # staged cells included; a cell past the end of a row is 0.  The
+        # level counts as filled only once its d row is stored, so a level
+        # that fails is filled afresh, without the staged cells, next time.
+        a, b, cw, d, d_prev = (
+            row + [0] * (size + 1 - len(row))
+            for row in (a_row, b_row, cw_row, d_row, d_prev))
+        for k in range(size + 1):
+            if k and (n - 1) * d[k - 1] != a[k - 1] + b[k - 1] + a[k]:
+                identity = "(n-1) d(n,k-1) = A(n,k-1) + B(n,k-1) + A(n,k)"
+            elif cw[k] != a[k] - d[k] + source_ways * d_prev[k]:
+                identity = "Cw(n,k) = A(n,k) - d(n,k) + 2^(n-1) d(n-1,k)"
+            else:
+                continue
+            raise EngineInconsistency(f"internal inconsistency: {identity} "
+                                      f"fails at n={n}, k={k}")
         self._rows["d"][n] = d_row
 
     def _spanning_rows(self, n: int, size: int) -> tuple[list[int], ...]:

@@ -9,7 +9,10 @@ evidence for both.
 Vertices carry labels 1..n.  An edge x -> y with x > y is a descent.
 ``enumerate_counts`` adds the labels in increasing order, so the edges
 from each new label to lower ones are exactly its descents, and it only
-offers in-edges that cannot close a cycle.
+offers in-edges that cannot close a cycle.  A table of the new label's
+reach per out-set is built once per prefix, and the last label's
+in-sets are walked in a tight loop that only asks whether each one
+meets vertex 1's descendants.
 
 ``Dag`` is the small per-graph reference that the enumerator is tested
 against.  It encodes an edge set as a bitmask over the n*(n-1) ordered
@@ -20,8 +23,8 @@ pairs (x, y) with x != y, taken in lexicographic order:
 Bit p of the mask is set iff the p-th pair in that order is an edge.
 ``Dag`` masks rely on this order, so it must never change.
 
-Enumeration cost is one step per DAG: n=5 has 29,281 DAGs (0.01-0.02 s)
-and n=6 has 3,781,503 (1.5-2.7 s on a 2-core host, Python 3.11), so n=6
+Enumeration cost is one step per DAG: n=5 has 29,281 DAGs (about 0.01 s)
+and n=6 has 3,781,503 (1.0-1.2 s on a 2-core host, Python 3.11), so n=6
 sits behind an explicit ``allow_slow`` override.  Larger n
 (1,138,779,265 DAGs at n=7) is refused outright.
 """
@@ -262,12 +265,18 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
     labels 1..v is a DAG, and (O, I) fixes the edges of v, so every DAG
     is visited exactly once.  A descendant bitset is kept per vertex:
     v reaches itself and the descendants of O, and every earlier vertex
-    that reaches I gains all of that.
+    that reaches I gains all of that.  For each prefix, ``reaches[O]``
+    holds v's reach for every out-set O at once, built by doubling over
+    the earlier labels' descendant sets.
 
     Each finished DAG is tallied once by its signature (descents, the
     labels m with an edge m -> 1, the labels reachable from 1, whether n
     reaches everything); the signatures are expanded into the tables at
-    the end.
+    the end.  For the last label only the labels reachable from 1 still
+    depend on I: they gain n's reach exactly when I meets the
+    descendants of 1.  So its in-sets are walked inline, each adding 1
+    to a hit or a miss counter, and the two counters are tallied once
+    per (prefix, O).
 
     n = 6 visits 3,781,503 DAGs (a few seconds) and therefore requires
     ``allow_slow=True``; n > 6 is refused.
@@ -290,30 +299,41 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
         # desc[u]: reflexive descendants of label u+1 (bit b = label b+1)
         v = len(desc)
         bit = 1 << v
-        for out in range(bit):
-            reach = bit
-            pending = out
-            while pending:
-                low = pending & -pending
-                reach |= desc[low.bit_length() - 1]
-                pending ^= low
-            free = (bit - 1) & ~reach
+        below = bit - 1
+        # reaches[O]: v's own bit and the descendants of every label in O
+        reaches = [bit]
+        for d in desc:
+            reaches += [r | d for r in reaches]
+        if v < n - 1:
+            for out, reach in enumerate(reaches):
+                k_out = k + out.bit_count()
+                into_out = into_lowest | bit if out & 1 else into_lowest
+                for in_set in _subsets(below & ~reach):
+                    grown = [d | reach if d & in_set else d for d in desc]
+                    grown.append(reach)
+                    extend(grown, k_out, into_out)
+            return
+        # Last label: only vertex 1's final reach varies with I, so each
+        # in-set either hits vertex 1's descendants or misses them.
+        lowest = desc[0] if desc else bit
+        for out, reach in enumerate(reaches):
+            free = below & ~reach
+            hits, misses = 0, 1  # the empty in-set misses
+            in_set = free
+            while in_set:
+                if in_set & lowest:
+                    hits += 1
+                else:
+                    misses += 1
+                in_set = (in_set - 1) & free
             k_out = k + out.bit_count()
             into_out = into_lowest | bit if out & 1 else into_lowest
-            if v == n - 1:
-                # Last label: only vertex 1's final reach varies with I.
-                lowest = desc[0] if desc else reach
-                spans_high = reach == full
-                miss = (k_out, into_out, lowest, spans_high)
-                hit = (k_out, into_out, lowest | reach, spans_high)
-                for in_set in _subsets(free):
-                    key = hit if lowest & in_set else miss
-                    tally[key] = tally.get(key, 0) + 1
-                continue
-            for in_set in _subsets(free):
-                grown = [d | reach if d & in_set else d for d in desc]
-                grown.append(reach)
-                extend(grown, k_out, into_out)
+            spans_high = reach == full
+            key = (k_out, into_out, lowest, spans_high)
+            tally[key] = tally.get(key, 0) + misses
+            if hits:
+                key = (k_out, into_out, lowest | reach, spans_high)
+                tally[key] = tally.get(key, 0) + hits
 
     extend([], 0, 0)
 

@@ -94,10 +94,21 @@ def test_value_edges(capsys):
     ("value", "--n", "4", "--k", "-2"),
     ("nonsense",),
     (),
+    ("value", "--n", "41", "--k", "0"),
+    ("table", "--max-n", "41"),
+    ("verify", "--max-n", "41"),
+    ("cache", "save", "--path", "unused.cache", "--max-n", "41"),
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_vertex_ceiling_is_inclusive():
+    # parsed only: a fill to n = 40 would take most of a minute
+    parser = cli.build_parser()
+    assert parser.parse_args(["value", "--n", "40", "--k", "0"]).n == 40
+    assert parser.parse_args(["table", "--max-n", "40"]).max_n == 40
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +310,16 @@ def test_cache_load_rederives_deep_records(tmp_path, capsys):
                             "d 9 36 expected 1, cache has 2\n")
 
 
+def test_cache_load_rejects_n_above_ceiling(tmp_path, capsys):
+    path = tmp_path / "deep.cache"
+    path.write_text(f"{HEADER}\nd 300 0 1\n")
+    assert run_cli("cache", "load", "--path", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 2: n = 300 is above the supported "
+                            "maximum 40\n")
+
+
 @needs_digit_limit
 def test_cache_load_oversized_integer_exits_1(tmp_path):
     path = tmp_path / "long.cache"
@@ -351,6 +372,31 @@ def test_oversized_env_cache_warns_and_continues(tmp_path):
     assert result.stderr == (f"warning: ignoring cache {path}: line 2: "
                              "integer field longer than "
                              f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def test_env_cache_above_ceiling_warns_and_continues(tmp_path, monkeypatch,
+                                                    capsys):
+    path = tmp_path / "deep.cache"
+    path.write_text(f"{HEADER}\nd 300 0 1\n")
+    monkeypatch.setenv("DESCENTS_CACHE", str(path))
+    assert run_cli("value", "--n", "3", "--k", "0") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "8\n"
+    assert captured.err == (f"warning: ignoring cache {path}: line 2: "
+                            "n = 300 is above the supported maximum 40\n")
+
+
+def test_env_cache_breaking_insertion_identity_exits_1(tmp_path):
+    # d(9,36) is 1 and lies past the fixture, so only the engine's
+    # insertion-identity guard can catch the staged 2
+    path = tmp_path / "deep.cache"
+    path.write_text(f"{HEADER}\nd 9 36 2\n")
+    result = run_module("value", "--n", "9", "--k", "36", cache=path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: internal inconsistency: Cw(n,k) = A(n,k) - d(n,k) "
+        "+ 2^(n-1) d(n-1,k) fails at n=9, k=36\n")
 
 
 def test_poisoned_env_cache_exits_cleanly(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from dagdescents import engine
 from dagdescents.combinatorics import gaussian_coefficient, pow2, two_factorial
 from dagdescents.engine import (
     DescentCounter,
+    EngineInconsistency,
     labeled_dag_total,
     series_identity_check,
 )
@@ -343,6 +344,27 @@ def test_preload_conflicting_staged_values():
     c.preload("d", 9, 2, 900)
     with pytest.raises(ValueError):
         c.preload("d", 9, 2, 901)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("whole_level", [False, True])
+def test_insertion_guard_catches_a_cell_nothing_else_reads(family,
+                                                           whole_level):
+    # A(6,15) and B(6,15) feed no d cell, so raising either by one drives
+    # nothing negative; only the insertion identities can see it
+    reference = DescentCounter()
+    reference.table(6)
+    staged = DescentCounter()
+    for tag, n, k, value in reference.entries():
+        if (tag, n, k) == (family, 6, 15):
+            staged.preload(tag, n, k, value + 1)
+        elif whole_level and n == 6:
+            staged.preload(tag, n, k, value)
+    with pytest.raises(EngineInconsistency, match="fails at n=6, k=1[56]$"):
+        staged.table(6)
+    # the failed level is not kept: the next query fills it afresh
+    assert staged.table(6) == reference.table(6)
+    assert list(staged.entries()) == list(reference.entries())
 
 
 def test_random_spot_checks_are_stable():

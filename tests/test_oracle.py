@@ -199,6 +199,33 @@ def test_fast_path_agrees_with_per_graph_stats(n):
     assert slow == enumerate_counts(n)
 
 
+@pytest.mark.parametrize("n, edges, reached, spanning", [
+    (2, 1, 1, 1),
+    (3, 8, 9, 5),
+    (4, 168, 207, 79),
+    (5, 8816, 11649, 3377),
+])
+def test_enumerator_bookkeeping_symmetries(n, edges, reached, spanning):
+    """Relabeling two vertices other than 1 maps DAGs to DAGs, so every
+    m >= 2 has the same number of graphs with the edge m -> 1 and with m
+    reachable from 1; reversing the labels swaps "1 reaches all" with
+    "n reaches all".  This pins the into-lowest bits and the reach split
+    of vertex 1 for n = 5, beyond the per-graph comparison's n <= 4."""
+    counts = enumerate_counts(n)
+    ks = range(len(counts.by_descents))
+    into = [sum(counts.edge_into_lowest[k][m] for k in ks)
+            for m in range(2, n + 1)]
+    reach = [sum(counts.vertex_reachable_from_lowest[k][m] for k in ks)
+             for m in range(2, n + 1)]
+    assert into == [edges] * (n - 1)
+    assert reach == [reached] * (n - 1)
+    assert sum(counts.spanning_from_lowest) == spanning
+    assert sum(counts.spanning_from_highest) == spanning
+    assert sum(j * c for row in counts.lowest_indegree
+               for j, c in enumerate(row)) == sum(into)
+    assert sum(map(sum, counts.lowest_indegree)) == counts.total()
+
+
 def test_subset_pair_histogram_examples():
     assert subset_pair_histogram(2, 1) == [1, 1]
     assert subset_pair_histogram(4, 2) == [1, 1, 2, 1, 1]
