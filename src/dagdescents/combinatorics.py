@@ -49,25 +49,27 @@ def gaussian_coeffs(n: int, j: int) -> tuple[int, ...]:
 
     Entry i is the coefficient of q^i; the tuple has length j*(n-j) + 1
     for 0 <= j <= n.  Out-of-range j yields the empty tuple (the zero
-    polynomial).  Computed by the q-Pascal recurrence
+    polynomial).  Computed by the product form
 
-        (n choose j)_q = (n-1 choose j-1)_q + q^j * (n-1 choose j)_q
+        (n choose j)_q = prod_{i=1..j} (1 - q^(n-j+i)) / (1 - q^i)
 
-    entirely in integer arithmetic, no polynomial division.
+    on power series truncated after q^(j(n-j)), the result's degree, so
+    every step is exact: a factor 1 - q^a is one strided subtraction and
+    a division by 1 - q^i one strided running sum.  No recursion, so
+    any n works.
     """
     if n < 0:
         raise ValueError(f"gaussian_coeffs: n must be nonnegative, got {n}")
     if j < 0 or j > n:
         return ()
-    if j == 0 or j == n:
-        return (1,)
-    left = gaussian_coeffs(n - 1, j - 1)
-    right = gaussian_coeffs(n - 1, j)
-    coeffs = [0] * (j * (n - j) + 1)
-    for i, c in enumerate(left):
-        coeffs[i] += c
-    for i, c in enumerate(right):
-        coeffs[i + j] += c
+    j = min(j, n - j)  # the same polynomial, fewer steps
+    coeffs = [1] + [0] * (j * (n - j))
+    for i in range(1, j + 1):
+        a = n - j + i
+        for k in range(len(coeffs) - 1, a - 1, -1):
+            coeffs[k] -= coeffs[k - a]
+        for k in range(i, len(coeffs)):
+            coeffs[k] += coeffs[k - i]
     return tuple(coeffs)
 
 

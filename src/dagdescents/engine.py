@@ -65,9 +65,19 @@ o = n - j vertices, so every cross edge runs from Y into X:
       B      | (j-1) (1+x)^o                 | any, weight j-1 = |X - 1|
       Cw     | o x (1+x)^(o-1) - (1+x)^o + 1 | m >= 2, weight m-1
 
-A, B and Cw share P_j Q_o W_j, so each split is multiplied out once for
-all three.  For u the pairs from vertex n into X are descents too; its
-weights carry them as the Gaussian-coefficient offset i - n + 1.
+A, B and Cw share R = P_j Q_o W_j (1+x)^(o-1), one product per split.
+For u the j-1 pairs from vertex n into X - 1 are descents too; its
+weights carry them as the Gaussian-coefficient offset i - j + 1.
+
+A level is evaluated at one integer point x = 2^w, not multiplied out
+cell by cell (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44,
+2009): each stored row packs into one integer with a w-bit slot per
+cell, each product above is one big-integer multiply, W_j follows by
+Horner's rule in 1+x, and the result's slots are the level's cells.
+The same code run at x = 1 first gives w: all weights and cross
+polynomials have nonnegative coefficients, so no cell exceeds its row's
+value at 1, and w one bit wider than the largest such value cannot
+alias, whatever the (possibly staged) input rows hold.
 
 Everything is exact integer arithmetic.  Tables fill bottom-up level by
 level (no deep call recursion), so large n cannot exhaust the stack.
@@ -76,7 +86,7 @@ Values are deterministic: any query order produces identical tables.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .combinatorics import (
     binomial,
@@ -89,14 +99,14 @@ from .combinatorics import (
 FAMILIES = ("d", "t", "u", "A", "B", "Cw")
 
 #: Largest vertex count the CLI and the cache accept.  Provisional: a
-#: cold fill to n = 40 takes about 49 s; the ceiling should follow the
+#: cold fill to n = 40 takes 17-24 s; the ceiling should follow the
 #: engine's measured depth once deep fills get faster.
 MAX_N = 40
 
 
 class EngineInconsistency(RuntimeError):
-    """A filled cell came out negative or broke an insertion identity, so
-    some input row was wrong."""
+    """A filled cell came out negative or outside its packed slot, or broke
+    an insertion identity, so some input row was wrong."""
 
 
 class DescentCounter:
@@ -239,7 +249,7 @@ class DescentCounter:
         size = n * (n - 1) // 2 + 1
         staged = {tag: self._staged.pop((tag, n), {}) for tag in FAMILIES}
 
-        def settle(tags, compute) -> None:
+        def settle(tags, values) -> None:
             """Store the level-n rows of ``tags``.  If every cell is
             staged the rows are taken as they are; otherwise they are
             computed and staged cells override computed ones."""
@@ -248,21 +258,15 @@ class DescentCounter:
                     cells = staged[tag]
                     self._rows[tag][n] = [cells[k] for k in range(size)]
                 return
-            for tag, row in zip(tags, compute(n, size)):
-                cells = staged[tag]
-                for k, value in enumerate(row):
-                    if k in cells:
-                        row[k] = cells[k]
-                    elif value < 0:
-                        raise EngineInconsistency(
-                            f"internal inconsistency: {tag}({n},{k}) = "
-                            f"{value}")
+            for tag, row in zip(tags, self._packed_rows(n, size, values)):
+                for k, value in staged[tag].items():
+                    row[k] = value
                 self._rows[tag][n] = row
 
         # Order matters: B's j = n term reads the finished level-n t row,
         # and the d row reads all of A, B, Cw at level n.
-        settle(("t", "u"), self._spanning_rows)
-        settle(("A", "B", "Cw"), self._incidence_rows)
+        settle(("t", "u"), self._spanning_values)
+        settle(("A", "B", "Cw"), self._incidence_values)
 
         a_row, b_row, cw_row = (self._rows[tag][n]
                                 for tag in ("A", "B", "Cw"))
@@ -303,83 +307,79 @@ class DescentCounter:
                                       f"fails at n={n}, k={k}")
         self._rows["d"][n] = d_row
 
-    def _spanning_rows(self, n: int, size: int) -> tuple[list[int], ...]:
-        """Level-n rows of t and u (see the module docstring).
+    def _packed_rows(self, n: int, size: int, values) -> list[list[int]]:
+        """Level-n rows from ``values(n, w, pack)``: the rows at x = 2^w,
+        given ``pack`` for a stored row.  A run at x = 1 bounds every cell
+        (module docstring), and each cell gets a slot of whole bytes."""
+        bound = max(values(n, 0, sum))
+        width = bound.bit_length() // 8 + 1  # bytes per cell
+
+        def pack(row: list[int]) -> int:
+            return int.from_bytes(b"".join(
+                [c.to_bytes(width, "little") for c in row]), "little")
+
+        try:
+            data = [value.to_bytes(size * width, "little")
+                    for value in values(n, 8 * width, pack)]
+        except OverflowError:  # an input cell or a result out of its slots
+            raise EngineInconsistency(
+                f"internal inconsistency: level {n} does not fit "
+                f"{size} cells of {width} bytes") from None
+        return [[int.from_bytes(row[k:k + width], "little")
+                 for k in range(0, size * width, width)] for row in data]
+
+    def _spanning_values(self, n: int, w: int, pack) -> tuple[int, ...]:
+        """t_n and u_n at x = 2^w (see the module docstring).
 
         For t, X is the set reachable from vertex n: u on X, t on Y.  For
         u, X is the set reachable from vertex 1: t on X, u on Y.
         """
         if n == 1:
-            return [1], [1]  # a lone vertex reaches itself
-        rows_t, rows_u = self._rows["t"], self._rows["u"]
-        t_row, u_row = [0] * size, [0] * size
+            return 1, 1  # a lone vertex reaches itself
+        t = {m: pack(self._rows["t"][m]) for m in range(1, n)}
+        u = {m: pack(self._rows["u"][m]) for m in range(1, n)}
+        t_sum = u_sum = 0
         for j in range(1, n):
             o = n - j
             free = (j - 1) * o  # pairs from Y into X other than the root
-            into_top = pow2(o) - 1
-            t_weights = _binomial_sum(
-                (i, q * into_top * pow2(free - i))
-                for i, q in enumerate(gaussian_coeffs(n - 2, j - 1)))
-            _add(t_row, _mul(rows_u[j], rows_t[o], t_weights))
-            top = j * o
-            u_weights = _binomial_sum(
-                (i - o, gaussian_coefficient(n - 2, j - 1, i - n + 1)
-                 * pow2(top - i))
-                for i in range(n - 1, top + 1))
-            into_lowest = _binomial_sum([(o, 1)])
-            into_lowest[0] = 0  # (1+x)^o - 1
-            _add(u_row, _mul(rows_t[j], rows_u[o], u_weights, into_lowest))
-        return t_row, u_row
+            weights = _gaussian_weights(w, gaussian_coeffs(n - 2, j - 1),
+                                        free)
+            t_sum += u[j] * t[o] * weights * (pow2(o) - 1)
+            weights = _gaussian_weights(w, [
+                gaussian_coefficient(n - 2, j - 1, i - j + 1)
+                for i in range(free + 1)], free)
+            into_lowest = pack([binomial(o, m) for m in range(o + 1)]) - 1
+            u_sum += t[j] * u[o] * weights * into_lowest
+        return t_sum, u_sum
 
-    def _incidence_rows(self, n: int, size: int) -> tuple[list[int], ...]:
-        """Level-n rows of A, B and Cw (see the module docstring).
+    def _incidence_values(self, n: int, w: int, pack) -> tuple[int, ...]:
+        """A_n, B_n and Cw_n at x = 2^w (see the module docstring).
 
-        X is the set reachable from vertex 1: t on X, d on Y.  The three
-        share that split and differ only in how the m edges from Y into
-        vertex 1, chosen in C(o,m) ways, are weighted.
-        """
-        rows_t, rows_d = self._rows["t"], self._rows["d"]
-        a_row, b_row, cw_row = [0] * size, [0] * size, [0] * size
-        for j in range(1, n + 1):
+        X is the set reachable from vertex 1: t on X, d on Y.  A gets
+        o x R, B gets (j-1)(1+x) R, Cw gets o x R - (1+x) R + P_j Q_o W_j,
+        and at j = n (o = 0) B gets (n-1) t_n and the others nothing."""
+        t = {m: pack(self._rows["t"][m]) for m in range(1, n + 1)}
+        d = {m: pack(self._rows["d"][m]) for m in range(n)}
+        by_o = by_j = plain = splits = 0  # sums of o R, (j-1) R, R, split
+        for j in range(1, n):
             o = n - j
-            free = (j - 1) * o  # pairs from Y into X other than into 1
-            split = _mul(rows_t[j], rows_d[o], _binomial_sum(
-                (i, q * pow2(free - i))
-                for i, q in enumerate(gaussian_coeffs(n - 1, j - 1))))
-            choose = _binomial_sum([(o, 1)])
-            _add(a_row, _mul(split, [m * c for m, c in enumerate(choose)]))
-            _add(b_row, _mul(split, [(j - 1) * c for c in choose]))
-            _add(cw_row, _mul(split, [max(m - 1, 0) * c
-                                      for m, c in enumerate(choose)]))
-        return a_row, b_row, cw_row
+            split = t[j] * d[o] * _gaussian_weights(
+                w, gaussian_coeffs(n - 1, j - 1), (j - 1) * o)
+            r = split * pack([binomial(o - 1, m) for m in range(o)])
+            by_o += o * r
+            by_j += (j - 1) * r
+            plain += r
+            splits += split
+        return (by_o << w, by_j + (by_j << w) + (n - 1) * t[n],
+                (by_o << w) - plain - (plain << w) + splits)
 
 
-def _mul(*factors: list[int]) -> list[int]:
-    """Coefficient list of the product of the given polynomials."""
-    product = [1]
-    for factor in factors:
-        out = [0] * (len(product) + len(factor) - 1)
-        for i, a in enumerate(product):
-            if a:
-                for k, b in enumerate(factor, i):
-                    out[k] += a * b
-        product = out
-    return product
-
-
-def _add(total: list[int], poly: list[int]) -> None:
-    """Add ``poly`` into ``total`` in place, lengthening it if needed."""
-    total.extend([0] * (len(poly) - len(total)))
-    for k, c in enumerate(poly):
-        total[k] += c
-
-
-def _binomial_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
-    """Coefficient list of the sum of w * (1+x)^i over the (i, w) pairs."""
-    total: list[int] = []
-    for i, w in terms:
-        _add(total, [w * binomial(i, r) for r in range(i + 1)])
-    return total
+def _gaussian_weights(w: int, coeffs, free: int) -> int:
+    """W_j = sum_i coeffs[i] 2^(free-i) (1+x)^i at x = 2^w, by Horner."""
+    acc = 0
+    for i in range(len(coeffs) - 1, -1, -1):
+        acc = (acc << w) + acc + (coeffs[i] << (free - i))
+    return acc
 
 
 def labeled_dag_total(n: int) -> int:

@@ -72,6 +72,18 @@ def test_gaussian_coeffs_length(n, j):
         assert coeffs == ()
 
 
+def test_gaussian_coeffs_deep_n_on_a_cold_cache():
+    # a recursion one frame deep per n raised RecursionError near n = 500
+    gaussian_coeffs.cache_clear()
+    # (600 choose 2)_q counts the partitions of i into at most 2 parts,
+    # each at most 598: the smaller part runs from max(0, i - 598) to i // 2
+    partitions = tuple(i // 2 - max(0, i - 598) + 1 for i in range(1197))
+    assert gaussian_coeffs(600, 2) == partitions
+    assert gaussian_coeffs(600, 598) == partitions
+    assert partitions[:40] == tuple(partition_count(i, 598, 2)
+                                    for i in range(40))
+
+
 def test_gaussian_coefficient_extraction():
     assert gaussian_coefficient(2, 1, 1) == 1
     assert gaussian_coefficient(4, 2, 2) == 2

@@ -238,6 +238,83 @@ def test_six_families_match_source_sets_through_16():
             assert actual == row, f"{family} row {n}"
 
 
+def _stored_rows(counter):
+    """{family: {n: row}} of every row ``counter`` holds, via entries()."""
+    rows = {}
+    for tag, n, k, value in counter.entries():
+        rows.setdefault(tag, {}).setdefault(n, []).append(value)
+    return rows
+
+
+def test_six_families_match_source_sets_17_to_22():
+    """The comparison above, continued for n = 17..22, where cells pass
+    10^60 and the packed slots are many bytes wide."""
+    reference = _six_families_by_source_sets(22)
+    counter = DescentCounter()
+    counter.table(22)
+    rows = _stored_rows(counter)
+    for family, by_n in reference.items():
+        for n in range(17, 23):
+            assert rows[family][n] == by_n[n], f"{family} row {n}"
+
+
+# ----------------------------------------------------------------------
+# the packed kernel's slot width follows the rows, not the true counts
+
+def _level_by_row_formula(rows, n):
+    """Level-n rows of t, u, A, B and Cw by the engine docstring's row
+    formula, sum_j P_j Q_o W_j cross_F, in list arithmetic, from the
+    stored rows (the level-n t row included, for B's j = n term)."""
+    def power(e):  # (1+x)^e
+        return [math.comb(e, i) for i in range(e + 1)]
+
+    def weights(j, o, top, offset):  # W_j, w_i from Gaussian coefficients
+        free = (j - 1) * o
+        return _poly_add([0], *(
+            _scaled(gaussian_coefficient(top, j - 1, i - offset)
+                    * 2 ** (free - i), power(i)) for i in range(free + 1)))
+
+    sums = {tag: [0] for tag in ("t", "u", "A", "B", "Cw")}
+    for j in range(1, n + 1):
+        o = n - j
+        if o:
+            t_part = _poly_mul(_poly_mul(rows["u"][j], rows["t"][o]),
+                               weights(j, o, n - 2, 0))
+            sums["t"] = _poly_add(sums["t"], _scaled(2 ** o - 1, t_part))
+            u_cross = _poly_add(power(o), [-1])
+            sums["u"] = _poly_add(sums["u"], _poly_mul(_poly_mul(
+                _poly_mul(rows["t"][j], rows["u"][o]),
+                weights(j, o, n - 2, j - 1)), u_cross))
+        a_cross = [0] + _scaled(o, power(o - 1)) if o else [0]
+        cross = {"A": a_cross, "B": _scaled(j - 1, power(o)),
+                 "Cw": _poly_add(a_cross, _scaled(-1, power(o)), [1])}
+        split = _poly_mul(_poly_mul(rows["t"][j], rows["d"][o]),
+                          weights(j, o, n - 1, 0))
+        for tag, poly in cross.items():
+            sums[tag] = _poly_add(sums[tag], _poly_mul(split, poly))
+    size = n * (n - 1) // 2 + 1
+    assert all(not any(row[size:]) for row in sums.values())
+    return {tag: (row + [0] * size)[:size] for tag, row in sums.items()}
+
+
+def test_level_rows_are_exact_above_the_true_counts():
+    # a full staged u row near 10^60: the level-6 rows built from it hold
+    # cells near 10^61, which slots sized from the true counts would alias
+    staged = DescentCounter()
+    for k in range(11):
+        staged.preload("u", 5, k, 10**60 + k)
+    # t(6,.) reads the staged row, B(6,.) reads t(6,.), and d(6,1) then
+    # comes out negative; the five rows before it are stored by then
+    with pytest.raises(EngineInconsistency, match=r"d\(6,1\) = -"):
+        staged.table(6)
+    rows = _stored_rows(staged)
+    assert rows["u"][5] == [10**60 + k for k in range(11)]
+    expected = _level_by_row_formula(rows, 6)
+    assert expected["t"][0] > 10**61
+    for tag, row in expected.items():
+        assert rows[tag].get(6) == row, f"{tag} row 6"
+
+
 # ----------------------------------------------------------------------
 # determinism and validation
 
