@@ -9,7 +9,6 @@ import math
 import time
 
 from dagdescents import cli
-from dagdescents.cache import HEADER, apply_records, load_records, save_cache
 from dagdescents.combinatorics import (
     binomial,
     gaussian_coefficient,
@@ -139,9 +138,7 @@ def test_criterion_7_structural_invariants():
     print("PASS criterion 7: structural invariants hold for n<=8")
 
 
-def test_criterion_8_cli_golden(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("DESCENTS_CACHE", raising=False)
-
+def test_criterion_8_cli_golden(capsys, monkeypatch):
     def run(*argv):
         try:
             return cli.main(list(argv))
@@ -168,25 +165,24 @@ def test_criterion_8_cli_golden(tmp_path, capsys, monkeypatch):
     assert from_csv == {int(n): [int(c) for c in row]
                         for n, row in payload["d"].items()}
 
-    # cache round-trip is byte-identical across save/load/save
-    first = tmp_path / "first.cache"
-    second = tmp_path / "second.cache"
-    assert run("cache", "save", "--path", str(first), "--max-n", "6") == 0
-    counter = DescentCounter()
-    apply_records(counter, load_records(first))
-    counter.table(6)
-    save_cache(second, counter)
-    assert first.read_bytes() == second.read_bytes()
-    capsys.readouterr()
-
-    # verify exit codes: clean run 0, gated flag 2, poisoned cache load 1
+    # exit codes: clean verify 0, gated flag 2, internal inconsistency 1
+    # (a verify FAIL is exit 1 too: test_verify_detects_tampered_fixture)
     assert run("verify", "--max-n", "8", "--oracle-max-n", "4") == 0
     assert "FAIL" not in capsys.readouterr().out
     assert run("verify", "--oracle-max-n", "6") == 2
     capsys.readouterr()
-    poisoned = tmp_path / "poisoned.cache"
-    poisoned.write_text(f"{HEADER}\nd 3 1 12\n")
-    assert run("cache", "load", "--path", str(poisoned)) == 1
-    assert "expected 11" in capsys.readouterr().err
-    print("PASS criterion 8: CLI round-trips byte-identical, exit codes "
-          "0/1/2 as specified")
+    packed_rows = DescentCounter._packed_rows
+
+    def bumped(self, n, size, values):
+        rows = packed_rows(self, n, size, values)
+        if n == 6 and len(rows) == 3:  # A(6,15) + 1: only the guard sees it
+            rows[0][15] += 1
+        return rows
+
+    monkeypatch.setattr(DescentCounter, "_packed_rows", bumped)
+    assert run("value", "--n", "6", "--k", "3") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal inconsistency: ")
+    print("PASS criterion 8: CLI outputs byte-exact, exit codes 0/1/2 "
+          "as specified")

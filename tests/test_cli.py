@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,19 +8,7 @@ from pathlib import Path
 import pytest
 
 from dagdescents import cli, golden
-from dagdescents.cache import HEADER
-from dagdescents.engine import labeled_dag_total
-
-
-# Python 3.10.7+ limits int() on text to 4,300 digits by default.
-needs_digit_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"),
-    reason="this Python has no int/str digit limit")
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_cache(monkeypatch):
-    monkeypatch.delenv("DESCENTS_CACHE", raising=False)
+from dagdescents.engine import DescentCounter, labeled_dag_total
 
 
 def run_cli(*argv):
@@ -30,22 +19,16 @@ def run_cli(*argv):
         return exc.code
 
 
-def run_python(*args, cache=None):
-    """Run a fresh interpreter on the package's sources, so that import
-    side effects and any uncaught traceback can be seen."""
-    env = {key: value for key, value in os.environ.items()
-           if key != "DESCENTS_CACHE"}
+def run_python(*args, **env_vars):
+    """Run a fresh interpreter on the package's sources, with ``env_vars``
+    added to its environment, so that import side effects and any
+    uncaught traceback can be seen."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    if cache is not None:
-        env["DESCENTS_CACHE"] = str(cache)
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=60)
-
-
-def run_module(*argv, cache=None):
-    return run_python("-m", "dagdescents", *argv, cache=cache)
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +45,8 @@ print(code, " ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_value_imports_neither_oracle_nor_cache():
+def test_value_imports_only_what_it_runs():
+    assert importlib.util.find_spec("dagdescents.cache") is None
     result = run_python("-c", VALUE_SCRIPT)
     assert result.returncode == 0, result.stderr
     value, last = result.stdout.splitlines()
@@ -70,8 +54,8 @@ def test_value_imports_neither_oracle_nor_cache():
     code, *added = last.split()
     assert code == "0"
     assert "dagdescents.engine" in added
-    not_for_value = ("dagdescents.oracle", "dagdescents.cache",
-                     "dataclasses", "fractions", "json")
+    not_for_value = ("dagdescents.oracle", "dataclasses", "fractions",
+                     "json")
     assert [name for name in not_for_value if name in added] == []
 
 
@@ -97,7 +81,7 @@ def test_value_edges(capsys):
     ("value", "--n", "41", "--k", "0"),
     ("table", "--max-n", "41"),
     ("verify", "--max-n", "41"),
-    ("cache", "save", "--path", "unused.cache", "--max-n", "41"),
+    ("cache", "save"),
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -230,190 +214,69 @@ def test_verify_gates_full_oracle():
 
 
 def test_verify_rejects_unknown_check(capsys):
+    valid = "(valid: golden, totals, series, subsets, oracle)"
     assert run_cli("verify", "--checks", "golden,frobnicate") == 2
-    assert "unknown checks: frobnicate" in capsys.readouterr().err
-
-
-def test_verify_ignores_cache_env(tmp_path, monkeypatch, capsys):
-    # verify must recompute even when a poisoned cache is configured;
-    # the conflicting value sits outside the fixture so only a cold
-    # start can expose it (totals for n=9 would be wrong if preloaded)
-    poison = tmp_path / "poison.cache"
-    poison.write_text(f"{HEADER}\nd 9 0 1\n")
-    monkeypatch.setenv("DESCENTS_CACHE", str(poison))
-    assert run_cli("verify", "--checks", "golden,totals",
-                   "--max-n", "8") == 0
-    assert "warning" not in capsys.readouterr().err
+    assert f"unknown checks: frobnicate {valid}" in capsys.readouterr().err
+    for empty in (",", ""):  # an empty list must not pass vacuously
+        assert run_cli("verify", "--checks", empty) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no checks named {valid}" in captured.err
 
 
 # ----------------------------------------------------------------------
-# cache subcommand and env preloading
+# internal inconsistency (exit 1) and the retired snapshot cache
 
-def test_cache_save_load_clear_cycle(tmp_path, capsys):
-    path = tmp_path / "memo.cache"
-    assert run_cli("cache", "save", "--path", str(path), "--max-n", "4") == 0
-    out = capsys.readouterr().out
-    assert f"to {path}" in out and out.startswith("saved ")
-    text = path.read_text()
-    assert text.startswith(HEADER + "\n")
-    record_count = len(text.splitlines()) - 1
-
-    assert run_cli("cache", "load", "--path", str(path)) == 0
-    assert capsys.readouterr().out == (
-        f"loaded {record_count} entries from {path} "
-        f"(fixture overlap verified)\n")
-
-    assert run_cli("cache", "clear", "--path", str(path)) == 0
-    assert capsys.readouterr().out == f"cleared {path}\n"
-    assert path.read_bytes() == b""
+# Runs ``value --n 9 --k 36`` with one computed cell raised by one: A(6,15)
+# feeds no d cell, so only the insertion identities can see it.
+BUMPED_SCRIPT = """
+import sys
+from dagdescents import cli
+from dagdescents.engine import DescentCounter
+packed_rows = DescentCounter._packed_rows
+def bumped(self, n, size, values):
+    rows = packed_rows(self, n, size, values)
+    if n == 6 and len(rows) == 3:  # A, B, Cw
+        rows[0][15] += 1
+    return rows
+DescentCounter._packed_rows = bumped
+sys.exit(cli.main(["value", "--n", "9", "--k", "36"]))
+"""
 
 
-def test_cache_path_from_env(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "memo.cache"
-    monkeypatch.setenv("DESCENTS_CACHE", str(path))
-    assert run_cli("cache", "save", "--max-n", "3") == 0
-    capsys.readouterr()
-    assert run_cli("cache", "load") == 0
-    assert "fixture overlap verified" in capsys.readouterr().out
-
-
-def test_cache_requires_a_path(capsys):
-    assert run_cli("cache", "save") == 2
-    assert "no cache path" in capsys.readouterr().err
-
-
-def test_cache_load_rejects_old_header(tmp_path, capsys):
-    path = tmp_path / "old.cache"
-    path.write_text("DESCENTS-CACHE v0\nd 0 0 1\n")
-    assert run_cli("cache", "load", "--path", str(path)) == 1
-    assert "bad cache header" in capsys.readouterr().err
-
-
-def test_cache_load_rejects_fixture_conflict(tmp_path, capsys):
-    path = tmp_path / "evil.cache"
-    path.write_text(f"{HEADER}\nd 3 1 12\n")
-    assert run_cli("cache", "load", "--path", str(path)) == 1
-    err = capsys.readouterr().err
-    assert "d 3 1 expected 11, cache has 12" in err
-
-
-def test_cache_load_rederives_deep_records(tmp_path, capsys):
-    # d(9,36) is 1: only the graph with every edge x -> y, x > y, has
-    # C(9,2) = 36 descents.  The fixture stops at n = 8, so only a
-    # recomputation can catch this record.
-    path = tmp_path / "deep.cache"
-    path.write_text(f"{HEADER}\nd 9 36 2\n")
-    assert run_cli("cache", "load", "--path", str(path)) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: cache conflicts with computed values: "
-                            "d 9 36 expected 1, cache has 2\n")
-
-
-def test_cache_load_rejects_n_above_ceiling(tmp_path, capsys):
-    path = tmp_path / "deep.cache"
-    path.write_text(f"{HEADER}\nd 300 0 1\n")
-    assert run_cli("cache", "load", "--path", str(path)) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: line 2: n = 300 is above the supported "
-                            "maximum 40\n")
-
-
-@needs_digit_limit
-def test_cache_load_oversized_integer_exits_1(tmp_path):
-    path = tmp_path / "long.cache"
-    path.write_text(f"{HEADER}\nd 3 0 {'9' * 5000}\n")
-    result = run_module("cache", "load", "--path", str(path))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == ("error: line 2: integer field longer than "
-                             f"{sys.get_int_max_str_digits()} digits\n")
-
-
-def test_cache_save_unwritable(tmp_path, capsys):
-    assert run_cli("cache", "save", "--path", str(tmp_path),
-                   "--max-n", "2") == 2
-    assert "cannot write" in capsys.readouterr().err
-
-
-def test_env_cache_preloads_table(tmp_path, monkeypatch, capsys):
-    assert run_cli("table", "--max-n", "5") == 0
-    cold = capsys.readouterr().out
-
-    path = tmp_path / "memo.cache"
-    assert run_cli("cache", "save", "--path", str(path), "--max-n", "5") == 0
-    capsys.readouterr()
-    monkeypatch.setenv("DESCENTS_CACHE", str(path))
-    assert run_cli("table", "--max-n", "5") == 0
-    captured = capsys.readouterr()
-    assert captured.out == cold
-    assert captured.err == ""
-
-
-def test_corrupt_env_cache_warns_and_continues(tmp_path, monkeypatch,
-                                               capsys):
-    path = tmp_path / "mangled.cache"
-    path.write_text(f"{HEADER}\nd 3 1\n")
-    monkeypatch.setenv("DESCENTS_CACHE", str(path))
-    assert run_cli("value", "--n", "5", "--k", "2") == 0
-    captured = capsys.readouterr()
-    assert captured.out == "6698\n"
-    assert captured.err.startswith(f"warning: ignoring cache {path}:")
-
-
-@needs_digit_limit
-def test_oversized_env_cache_warns_and_continues(tmp_path):
-    path = tmp_path / "long.cache"
-    path.write_text(f"{HEADER}\nd 3 0 {'9' * 5000}\n")
-    result = run_module("value", "--n", "3", "--k", "0", cache=path)
-    assert result.returncode == 0
-    assert result.stdout == "8\n"
-    assert result.stderr == (f"warning: ignoring cache {path}: line 2: "
-                             "integer field longer than "
-                             f"{sys.get_int_max_str_digits()} digits\n")
-
-
-def test_env_cache_above_ceiling_warns_and_continues(tmp_path, monkeypatch,
-                                                    capsys):
-    path = tmp_path / "deep.cache"
-    path.write_text(f"{HEADER}\nd 300 0 1\n")
-    monkeypatch.setenv("DESCENTS_CACHE", str(path))
-    assert run_cli("value", "--n", "3", "--k", "0") == 0
-    captured = capsys.readouterr()
-    assert captured.out == "8\n"
-    assert captured.err == (f"warning: ignoring cache {path}: line 2: "
-                            "n = 300 is above the supported maximum 40\n")
-
-
-def test_env_cache_breaking_insertion_identity_exits_1(tmp_path):
-    # d(9,36) is 1 and lies past the fixture, so only the engine's
-    # insertion-identity guard can catch the staged 2
-    path = tmp_path / "deep.cache"
-    path.write_text(f"{HEADER}\nd 9 36 2\n")
-    result = run_module("value", "--n", "9", "--k", "36", cache=path)
+def test_broken_insertion_identity_exits_1():
+    result = run_python("-c", BUMPED_SCRIPT)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == (
-        "error: internal inconsistency: Cw(n,k) = A(n,k) - d(n,k) "
-        "+ 2^(n-1) d(n-1,k) fails at n=9, k=36\n")
+        "error: internal inconsistency: (n-1) d(n,k-1) = A(n,k-1) "
+        "+ B(n,k-1) + A(n,k) fails at n=6, k=15\n")
 
 
-def test_poisoned_env_cache_exits_cleanly(tmp_path, monkeypatch, capsys):
-    # t(5,1) is 942 in truth; 999 passes the cache's checks, which only
-    # compare d records with the fixture, but drives d(5,5) negative
-    path = tmp_path / "poison.cache"
-    path.write_text(f"{HEADER}\nt 5 1 999\n")
-    monkeypatch.setenv("DESCENTS_CACHE", str(path))
+def test_negative_cell_exits_1(monkeypatch, capsys):
+    # t(5,1) is 942 in truth; 999 drives d(5,5) negative
+    packed_rows = DescentCounter._packed_rows
+
+    def bumped(self, n, size, values):
+        rows = packed_rows(self, n, size, values)
+        if n == 5 and len(rows) == 2:  # t, u
+            rows[0][1] += 57
+        return rows
+
+    monkeypatch.setattr(DescentCounter, "_packed_rows", bumped)
     assert run_cli("value", "--n", "6", "--k", "3") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal inconsistency: d(5,5) = -11485\n"
 
 
-def test_missing_env_cache_is_silent(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DESCENTS_CACHE", str(tmp_path / "absent.cache"))
-    assert run_cli("value", "--n", "2", "--k", "1") == 0
-    captured = capsys.readouterr()
-    assert captured.out == "1\n"
-    assert captured.err == ""
+def test_descents_cache_is_not_read(tmp_path):
+    # d(9,36) is 1: only the graph with every edge x -> y, x > y, has
+    # C(9,2) = 36 descents.  A snapshot claiming 2 changes nothing.
+    path = tmp_path / "deep.cache"
+    path.write_text("DESCENTS-CACHE v1\nd 9 36 2\n")
+    result = run_python("-m", "dagdescents", "value", "--n", "9", "--k", "36",
+                        DESCENTS_CACHE=str(path))
+    assert result.returncode == 0
+    assert result.stdout == "1\n"
+    assert result.stderr == ""
