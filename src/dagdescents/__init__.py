@@ -6,7 +6,7 @@ package computes d(n,k), the number of acyclic digraphs on vertices
 recurrences (`DescentCounter`), and ships the machinery used to trust
 those numbers: an exhaustive brute-force enumerator for small n, a
 golden fixture of known-good values, classical cross-checks on the row
-totals, and a CLI.
+totals, and a persisted-cache format plus CLI.
 
 The public names below load on first use: importing the package (or
 running ``python -m dagdescents``) imports no submodule, so a command

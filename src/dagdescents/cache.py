@@ -15,6 +15,8 @@ re-checks every record that overlaps the golden fixture, so a cache file
 cannot silently smuggle wrong d values for n <= 8; everything else is
 trusted (it skips recomputation, which is the point of the file), apart
 from the insertion identities the engine checks on every level it fills.
+The CLI's ``value``, ``table`` and ``verify`` never preload a snapshot:
+a cold fill is faster than loading one.
 """
 from __future__ import annotations
 

@@ -1,17 +1,20 @@
 """Command-line frontend.
 
-Three subcommands:
+Four subcommands:
 
 - ``value``: print one count d(n,k).
 - ``table``: emit the full triangle up to --max-n as csv, json, md or latex.
 - ``verify``: recompute everything from scratch and cross-check it against
   the golden fixture, the exhaustive enumerator, the labeled-DAG totals,
   the reciprocal-series identity, and the subset-pair histograms.
+- ``cache``: save, load (re-deriving every record), or clear a memo
+  snapshot file.
 
-Every command computes from a cold engine.  Exit codes: 0 success, 1
-verification mismatch or an internal inconsistency (a filled count came
-out negative or broke an insertion identity), 2 usage error, including
-a vertex count above ``engine.MAX_N``.
+``value``, ``table`` and ``verify`` compute from a cold engine; no
+command reads a snapshot to answer a query.  Exit codes: 0 success, 1
+verification or cache-data mismatch or an internal inconsistency (a
+filled count came out negative or broke an insertion identity), 2 usage
+error, including a vertex count above ``engine.MAX_N``.
 """
 from __future__ import annotations
 
@@ -29,8 +32,8 @@ from .engine import (
 from .golden import GOLDEN_COUNTS, GOLDEN_MAX_N
 
 # Every call pays for the imports above at start-up, so they are only
-# what ``value`` and ``table`` run.  The oracle and json are imported
-# inside the code that uses them.
+# what ``value`` and ``table`` run.  The oracle, json and the cache
+# module are imported inside the code that uses them.
 
 TABLE_FORMATS = ("csv", "json", "md", "latex")
 
@@ -101,6 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated subset of: "
                                + ", ".join(CHECK_NAMES))
 
+    p_cache = sub.add_parser(
+        "cache", help="manage a persisted memo snapshot")
+    p_cache.add_argument("action", choices=("save", "load", "clear"))
+    p_cache.add_argument("--path", default=None, help="cache file")
+    p_cache.add_argument("--max-n", type=_positive, default=8, dest="max_n",
+                         help="for save: fill tables up to this n first "
+                              "(default 8)")
     return parser
 
 
@@ -336,6 +346,65 @@ def _cmd_verify(args: argparse.Namespace,
     return 1 if failures else 0
 
 
+def _first_cache_conflict(
+        records: list[tuple[str, int, int, int]]) -> str | None:
+    """Re-derive every record on a cold counter; describe the first one
+    whose value differs, or return None when all of them agree."""
+    if not records:
+        return None
+    fresh = DescentCounter()
+    fresh.row_total(max(n for _, n, _, _ in records))
+    computed = {(family, n, k): value
+                for family, n, k, value in fresh.entries()}
+    for family, n, k, value in records:
+        expected = computed.get((family, n, k), 0)  # past C(n,2) is 0
+        if value != expected:
+            return f"{family} {n} {k} expected {expected}, cache has {value}"
+    return None
+
+
+def _cmd_cache(args: argparse.Namespace,
+               parser: argparse.ArgumentParser) -> int:
+    from . import cache as cache_io
+
+    path = args.path
+    if not path:
+        parser.error("no cache path: pass --path")
+    if args.action == "save":
+        counter = DescentCounter()
+        counter.table(args.max_n)
+        try:
+            count = cache_io.save_cache(path, counter)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            return 2
+        print(f"saved {count} entries to {path}")
+        return 0
+    if args.action == "load":
+        try:
+            records = cache_io.load_records(path)
+            counter = DescentCounter()
+            cache_io.apply_records(counter, records)
+        except cache_io.CacheError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        conflict = _first_cache_conflict(records)
+        if conflict is not None:
+            print(f"error: cache conflicts with computed values: {conflict}",
+                  file=sys.stderr)
+            return 1
+        print(f"loaded {len(records)} entries from {path} "
+              f"(fixture overlap verified)")
+        return 0
+    try:
+        cache_io.clear_cache(path)
+    except OSError as exc:
+        print(f"error: cannot clear {path}: {exc}", file=sys.stderr)
+        return 2
+    print(f"cleared {path}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -344,7 +413,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_value(args)
         if args.command == "table":
             return _cmd_table(args)
-        return _cmd_verify(args, parser)
+        if args.command == "verify":
+            return _cmd_verify(args, parser)
+        return _cmd_cache(args, parser)
     except EngineInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,8 +37,8 @@ vertex 1 is a source:
     (ii) Cw(n,k) = A(n,k) - d(n,k) + 2^(n-1) d(n-1,k)
 
 Eliminating A(n,k) between them gives the d recurrence.  Both are
-checked on every level once it fills, so a wrong cell raises
-``EngineInconsistency`` instead of reaching an answer.
+checked on every level once it fills, staged cells included, so a wrong
+cell raises ``EngineInconsistency`` instead of reaching an answer.
 
 The five other families are built a whole row at a time.  Each splits
 the vertices into a set X of j vertices closed under reachability from
@@ -77,9 +77,10 @@ Horner's rule in 1+x, and the result's slots are the level's cells.
 The same code run at x = 1 first gives w: all weights and cross
 polynomials have nonnegative coefficients, so no cell exceeds its row's
 value at 1, and w one bit wider than the largest such value cannot
-alias, whatever the stored input rows hold.  A bound taken from the true
-counts would do only while every stored row is right; this one keeps a
-row that a bug made wrong from aliasing too, so the guards still see it.
+alias, whatever the (possibly staged) input rows hold.  A bound taken
+from the true counts would do only while every stored row is right; this
+one keeps a row that a bug made wrong from aliasing too, so the guards
+still see it.
 
 Everything is exact integer arithmetic.  Tables fill bottom-up level by
 level (no deep call recursion), so large n cannot exhaust the stack.
@@ -97,12 +98,12 @@ from .combinatorics import (
     pow2,
 )
 
-#: Family tags, the keys of ``entries()``.
+#: Family tags, also used as the on-disk cache vocabulary.
 FAMILIES = ("d", "t", "u", "A", "B", "Cw")
 
-#: Largest vertex count the CLI accepts.  Provisional: a cold fill to
-#: n = 40 takes 17-24 s; the ceiling should follow the engine's measured
-#: depth once deep fills get faster.
+#: Largest vertex count the CLI and the cache accept.  Provisional: a
+#: cold fill to n = 40 takes 17-24 s; the ceiling should follow the
+#: engine's measured depth once deep fills get faster.
 MAX_N = 40
 
 
@@ -124,6 +125,8 @@ class DescentCounter:
         self._rows: dict[str, dict[int, list[int]]] = {
             tag: {} for tag in FAMILIES}
         self._rows["d"][0] = [1]  # the empty graph has zero descents
+        # staged cells {k: value} per (family, n), until that row fills
+        self._staged: dict[tuple[str, int], dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     # public queries
@@ -179,7 +182,7 @@ class DescentCounter:
         return sum(self._rows["d"][n])
 
     # ------------------------------------------------------------------
-    # memo dump
+    # memo persistence hooks (used by the cache file layer)
 
     def entries(self) -> Iterator[tuple[str, int, int, int]]:
         """All memoized values as (family, n, k, value), deterministic order."""
@@ -187,6 +190,41 @@ class DescentCounter:
             for n in sorted(self._rows[tag]):
                 for k, value in enumerate(self._rows[tag][n]):
                     yield tag, n, k, value
+
+    def preload(self, family: str, n: int, k: int, value: int) -> None:
+        """Stage a known value that overrides the computed cell.
+
+        A row whose every cell is staged is taken as is and not computed.
+        Staged values are trusted, so callers are expected to validate
+        them first (the cache layer re-checks everything that overlaps
+        the golden fixture).  Values that contradict structural facts —
+        a nonzero count past k = C(n,2), or a mismatch with an already
+        computed cell — are rejected with ValueError.
+        """
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if n < 0 or k < 0:
+            raise ValueError(f"indices must be nonnegative, got n={n} k={k}")
+        if value < 0:
+            raise ValueError(f"counts are nonnegative, got {value}")
+        if family != "d" and n == 0:
+            raise ValueError(f"family {family} starts at n=1")
+        if k > n * (n - 1) // 2:
+            if value != 0:
+                raise ValueError(
+                    f"{family}({n},{k}) must be 0: k exceeds C(n,2)")
+            return  # nothing to store; lookups past the row end are 0
+        row = self._rows[family].get(n)
+        if row is not None:
+            if row[k] != value:
+                raise ValueError(
+                    f"{family} {n} {k} conflicts with computed value "
+                    f"{row[k]} (got {value})")
+            return
+        cells = self._staged.setdefault((family, n), {})
+        if cells.get(k, value) != value:
+            raise ValueError(f"conflicting staged values for {family} {n} {k}")
+        cells[k] = value
 
     # ------------------------------------------------------------------
     # internals
@@ -212,19 +250,40 @@ class DescentCounter:
 
     def _fill_level(self, n: int) -> None:
         size = n * (n - 1) // 2 + 1
+        staged = {tag: self._staged.pop((tag, n), {}) for tag in FAMILIES}
+
+        def settle(tags, values) -> None:
+            """Store the level-n rows of ``tags``.  If every cell is
+            staged the rows are taken as they are; otherwise they are
+            computed and staged cells override computed ones."""
+            if all(len(staged[tag]) == size for tag in tags):
+                for tag in tags:
+                    cells = staged[tag]
+                    self._rows[tag][n] = [cells[k] for k in range(size)]
+                return
+            for tag, row in zip(tags, self._packed_rows(n, size, values)):
+                for k, value in staged[tag].items():
+                    row[k] = value
+                self._rows[tag][n] = row
+
         # Order matters: B's j = n term reads the finished level-n t row,
         # and the d row reads all of A, B, Cw at level n.
-        for tags, values in ((("t", "u"), self._spanning_values),
-                             (("A", "B", "Cw"), self._incidence_values)):
-            for tag, row in zip(tags, self._packed_rows(n, size, values)):
-                self._rows[tag][n] = row
+        settle(("t", "u"), self._spanning_values)
+        settle(("A", "B", "Cw"), self._incidence_values)
 
         a_row, b_row, cw_row = (self._rows[tag][n]
                                 for tag in ("A", "B", "Cw"))
         d_prev = self._rows["d"][n - 1]
-        d_row = [pow2(size - 1)] + [0] * (size - 1)  # k = 0: ascents only
+        d_row = [0] * size
         source_ways = pow2(n - 1)
-        for k in range(1, size):
+        for k in range(size):
+            cached = staged["d"].get(k)
+            if cached is not None:
+                d_row[k] = cached
+                continue
+            if k == 0:
+                d_row[0] = pow2(n * (n - 1) // 2)
+                continue
             above = d_prev[k] if k < len(d_prev) else 0
             value = (source_ways * above + (n - 1) * d_row[k - 1]
                      - a_row[k - 1] - b_row[k - 1] - cw_row[k])
@@ -233,10 +292,10 @@ class DescentCounter:
                     f"internal inconsistency: d({n},{k}) = {value}")
             d_row[k] = value
 
-        # The insertion identities (module docstring) on the whole level; a
-        # cell past the end of a row is 0.  The level counts as filled only
-        # once its d row is stored, so a level that fails is filled afresh
-        # next time.
+        # The insertion identities (module docstring) on the whole level,
+        # staged cells included; a cell past the end of a row is 0.  The
+        # level counts as filled only once its d row is stored, so a level
+        # that fails is filled afresh, without the staged cells, next time.
         a, b, cw, d, d_prev = (
             row + [0] * (size + 1 - len(row))
             for row in (a_row, b_row, cw_row, d_row, d_prev))

@@ -9,6 +9,7 @@ import math
 import time
 
 from dagdescents import cli
+from dagdescents.cache import HEADER, apply_records, load_records, save_cache
 from dagdescents.combinatorics import (
     binomial,
     gaussian_coefficient,
@@ -138,7 +139,7 @@ def test_criterion_7_structural_invariants():
     print("PASS criterion 7: structural invariants hold for n<=8")
 
 
-def test_criterion_8_cli_golden(capsys, monkeypatch):
+def test_criterion_8_cli_golden(tmp_path, capsys, monkeypatch):
     def run(*argv):
         try:
             return cli.main(list(argv))
@@ -165,12 +166,28 @@ def test_criterion_8_cli_golden(capsys, monkeypatch):
     assert from_csv == {int(n): [int(c) for c in row]
                         for n, row in payload["d"].items()}
 
-    # exit codes: clean verify 0, gated flag 2, internal inconsistency 1
-    # (a verify FAIL is exit 1 too: test_verify_detects_tampered_fixture)
+    # cache round-trip is byte-identical across save/load/save
+    first = tmp_path / "first.cache"
+    second = tmp_path / "second.cache"
+    assert run("cache", "save", "--path", str(first), "--max-n", "6") == 0
+    counter = DescentCounter()
+    apply_records(counter, load_records(first))
+    counter.table(6)
+    save_cache(second, counter)
+    assert first.read_bytes() == second.read_bytes()
+    capsys.readouterr()
+
+    # exit codes: clean verify 0, gated flag 2, poisoned cache load 1,
+    # internal inconsistency 1 (a verify FAIL is exit 1 too:
+    # test_verify_detects_tampered_fixture)
     assert run("verify", "--max-n", "8", "--oracle-max-n", "4") == 0
     assert "FAIL" not in capsys.readouterr().out
     assert run("verify", "--oracle-max-n", "6") == 2
     capsys.readouterr()
+    poisoned = tmp_path / "poisoned.cache"
+    poisoned.write_text(f"{HEADER}\nd 3 1 12\n")
+    assert run("cache", "load", "--path", str(poisoned)) == 1
+    assert "expected 11" in capsys.readouterr().err
     packed_rows = DescentCounter._packed_rows
 
     def bumped(self, n, size, values):
@@ -184,5 +201,5 @@ def test_criterion_8_cli_golden(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal inconsistency: ")
-    print("PASS criterion 8: CLI outputs byte-exact, exit codes 0/1/2 "
-          "as specified")
+    print("PASS criterion 8: CLI round-trips byte-identical, exit codes "
+          "0/1/2 as specified")

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +7,14 @@ from pathlib import Path
 import pytest
 
 from dagdescents import cli, golden
+from dagdescents.cache import HEADER
 from dagdescents.engine import DescentCounter, labeled_dag_total
+
+
+# Python 3.10.7+ limits int() on text to 4,300 digits by default.
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python has no int/str digit limit")
 
 
 def run_cli(*argv):
@@ -45,8 +51,7 @@ print(code, " ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_value_imports_only_what_it_runs():
-    assert importlib.util.find_spec("dagdescents.cache") is None
+def test_value_imports_neither_oracle_nor_cache():
     result = run_python("-c", VALUE_SCRIPT)
     assert result.returncode == 0, result.stderr
     value, last = result.stdout.splitlines()
@@ -54,8 +59,8 @@ def test_value_imports_only_what_it_runs():
     code, *added = last.split()
     assert code == "0"
     assert "dagdescents.engine" in added
-    not_for_value = ("dagdescents.oracle", "dataclasses", "fractions",
-                     "json")
+    not_for_value = ("dagdescents.oracle", "dagdescents.cache",
+                     "dataclasses", "fractions", "json")
     assert [name for name in not_for_value if name in added] == []
 
 
@@ -81,7 +86,7 @@ def test_value_edges(capsys):
     ("value", "--n", "41", "--k", "0"),
     ("table", "--max-n", "41"),
     ("verify", "--max-n", "41"),
-    ("cache", "save"),
+    ("cache", "save", "--max-n", "41"),
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -224,8 +229,106 @@ def test_verify_rejects_unknown_check(capsys):
         assert f"no checks named {valid}" in captured.err
 
 
+def test_verify_ignores_cache_env(tmp_path, monkeypatch, capsys):
+    # verify must recompute even when a poisoned cache is configured;
+    # the conflicting value sits outside the fixture so only a cold
+    # start can expose it (totals for n=9 would be wrong if preloaded)
+    poison = tmp_path / "poison.cache"
+    poison.write_text(f"{HEADER}\nd 9 0 1\n")
+    monkeypatch.setenv("DESCENTS_CACHE", str(poison))
+    assert run_cli("verify", "--checks", "golden,totals",
+                   "--max-n", "8") == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
-# internal inconsistency (exit 1) and the retired snapshot cache
+# cache subcommand
+
+def test_cache_save_load_clear_cycle(tmp_path, capsys):
+    path = tmp_path / "memo.cache"
+    assert run_cli("cache", "save", "--path", str(path), "--max-n", "4") == 0
+    out = capsys.readouterr().out
+    assert f"to {path}" in out and out.startswith("saved ")
+    text = path.read_text()
+    assert text.startswith(HEADER + "\n")
+    record_count = len(text.splitlines()) - 1
+
+    assert run_cli("cache", "load", "--path", str(path)) == 0
+    assert capsys.readouterr().out == (
+        f"loaded {record_count} entries from {path} "
+        f"(fixture overlap verified)\n")
+
+    assert run_cli("cache", "clear", "--path", str(path)) == 0
+    assert capsys.readouterr().out == f"cleared {path}\n"
+    assert path.read_bytes() == b""
+
+
+def test_cache_requires_a_path(tmp_path, monkeypatch, capsys):
+    # DESCENTS_CACHE no longer supplies a default path
+    monkeypatch.setenv("DESCENTS_CACHE", str(tmp_path / "memo.cache"))
+    assert run_cli("cache", "save") == 2
+    assert "no cache path" in capsys.readouterr().err
+    assert not (tmp_path / "memo.cache").exists()
+
+
+def test_cache_load_rejects_old_header(tmp_path, capsys):
+    path = tmp_path / "old.cache"
+    path.write_text("DESCENTS-CACHE v0\nd 0 0 1\n")
+    assert run_cli("cache", "load", "--path", str(path)) == 1
+    assert "bad cache header" in capsys.readouterr().err
+
+
+def test_cache_load_rejects_fixture_conflict(tmp_path, capsys):
+    path = tmp_path / "evil.cache"
+    path.write_text(f"{HEADER}\nd 3 1 12\n")
+    assert run_cli("cache", "load", "--path", str(path)) == 1
+    err = capsys.readouterr().err
+    assert "d 3 1 expected 11, cache has 12" in err
+
+
+def test_cache_load_rederives_deep_records(tmp_path, capsys):
+    # d(9,36) is 1: only the graph with every edge x -> y, x > y, has
+    # C(9,2) = 36 descents.  The fixture stops at n = 8, so only a
+    # recomputation can catch this record.
+    path = tmp_path / "deep.cache"
+    path.write_text(f"{HEADER}\nd 9 36 2\n")
+    assert run_cli("cache", "load", "--path", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cache conflicts with computed values: "
+                            "d 9 36 expected 1, cache has 2\n")
+
+
+def test_cache_load_rejects_n_above_ceiling(tmp_path, capsys):
+    path = tmp_path / "deep.cache"
+    path.write_text(f"{HEADER}\nd 300 0 1\n")
+    assert run_cli("cache", "load", "--path", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 2: n = 300 is above the supported "
+                            "maximum 40\n")
+
+
+@needs_digit_limit
+def test_cache_load_oversized_integer_exits_1(tmp_path):
+    path = tmp_path / "long.cache"
+    path.write_text(f"{HEADER}\nd 3 0 {'9' * 5000}\n")
+    result = run_python("-m", "dagdescents", "cache", "load",
+                        "--path", str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == ("error: line 2: integer field longer than "
+                             f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def test_cache_save_unwritable(tmp_path, capsys):
+    assert run_cli("cache", "save", "--path", str(tmp_path),
+                   "--max-n", "2") == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# internal inconsistency (exit 1) and DESCENTS_CACHE
 
 # Runs ``value --n 9 --k 36`` with one computed cell raised by one: A(6,15)
 # feeds no d cell, so only the insertion identities can see it.
@@ -274,9 +377,17 @@ def test_descents_cache_is_not_read(tmp_path):
     # d(9,36) is 1: only the graph with every edge x -> y, x > y, has
     # C(9,2) = 36 descents.  A snapshot claiming 2 changes nothing.
     path = tmp_path / "deep.cache"
-    path.write_text("DESCENTS-CACHE v1\nd 9 36 2\n")
+    path.write_text(f"{HEADER}\nd 9 36 2\n")
     result = run_python("-m", "dagdescents", "value", "--n", "9", "--k", "36",
                         DESCENTS_CACHE=str(path))
     assert result.returncode == 0
     assert result.stdout == "1\n"
     assert result.stderr == ""
+
+
+def test_missing_env_cache_is_silent(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DESCENTS_CACHE", str(tmp_path / "absent.cache"))
+    assert run_cli("value", "--n", "2", "--k", "1") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1\n"
+    assert captured.err == ""

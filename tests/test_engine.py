@@ -298,16 +298,17 @@ def _level_by_row_formula(rows, n):
 
 
 def test_level_rows_are_exact_above_the_true_counts():
-    # a wrong u row near 10^60: the level-6 rows built from it hold cells
-    # near 10^61, which slots sized from the true counts would alias
-    counter = DescentCounter()
-    counter.table(5)
-    counter._rows["u"][5] = [10**60 + k for k in range(11)]
-    # t(6,.) reads the wrong row, B(6,.) reads t(6,.), and d(6,1) then
+    # a full staged u row near 10^60: the level-6 rows built from it hold
+    # cells near 10^61, which slots sized from the true counts would alias
+    staged = DescentCounter()
+    for k in range(11):
+        staged.preload("u", 5, k, 10**60 + k)
+    # t(6,.) reads the staged row, B(6,.) reads t(6,.), and d(6,1) then
     # comes out negative; the five rows before it are stored by then
     with pytest.raises(EngineInconsistency, match=r"d\(6,1\) = -"):
-        counter.table(6)
-    rows = _stored_rows(counter)
+        staged.table(6)
+    rows = _stored_rows(staged)
+    assert rows["u"][5] == [10**60 + k for k in range(11)]
     expected = _level_by_row_formula(rows, 6)
     assert expected["t"][0] > 10**61
     for tag, row in expected.items():
@@ -379,11 +380,72 @@ def test_labeled_dag_total_sequence():
 
 
 # ----------------------------------------------------------------------
-# the insertion-identity guard
+# preload staging
+
+def test_preload_short_circuits_fill():
+    reference = DescentCounter()
+    reference.table(5)
+    warmed = DescentCounter()
+    for family, n, k, value in reference.entries():
+        warmed.preload(family, n, k, value)
+    assert warmed.table(5) == reference.table(5)
+    assert list(warmed.entries()) == list(reference.entries())
+
+
+def test_preload_rejects_structural_nonsense():
+    c = DescentCounter()
+    with pytest.raises(ValueError):
+        c.preload("x", 3, 1, 11)
+    with pytest.raises(ValueError):
+        c.preload("d", -1, 0, 1)
+    with pytest.raises(ValueError):
+        c.preload("d", 3, 1, -5)
+    with pytest.raises(ValueError):
+        c.preload("t", 0, 0, 1)  # only d is defined at n=0
+    with pytest.raises(ValueError):
+        c.preload("d", 3, 4, 7)  # k > C(3,2) forces the count to 0
+    c.preload("d", 3, 4, 0)  # ...but an explicit zero there is fine
+    assert c.dag_count(3, 4) == 0
+
+
+def test_preload_conflicts_with_computed_value():
+    c = DescentCounter()
+    c.dag_count(3, 1)  # materializes row 3
+    c.preload("d", 3, 1, 11)  # matching value is a no-op
+    with pytest.raises(ValueError):
+        c.preload("d", 3, 1, 12)
+
+
+def test_preload_conflicting_staged_values():
+    c = DescentCounter()
+    c.preload("d", 9, 2, 900)
+    with pytest.raises(ValueError):
+        c.preload("d", 9, 2, 901)
+
 
 @pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("whole_level", [False, True])
 def test_insertion_guard_catches_a_cell_nothing_else_reads(family,
-                                                           monkeypatch):
+                                                           whole_level):
+    # A(6,15) and B(6,15) feed no d cell, so raising either by one drives
+    # nothing negative; only the insertion identities can see it
+    reference = DescentCounter()
+    reference.table(6)
+    staged = DescentCounter()
+    for tag, n, k, value in reference.entries():
+        if (tag, n, k) == (family, 6, 15):
+            staged.preload(tag, n, k, value + 1)
+        elif whole_level and n == 6:
+            staged.preload(tag, n, k, value)
+    with pytest.raises(EngineInconsistency, match="fails at n=6, k=1[56]$"):
+        staged.table(6)
+    # the failed level is not kept: the next query fills it afresh
+    assert staged.table(6) == reference.table(6)
+    assert list(staged.entries()) == list(reference.entries())
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_insertion_guard_catches_a_computed_cell(family, monkeypatch):
     # A(6,15) and B(6,15) feed no d cell, so raising either by one drives
     # nothing negative; only the insertion identities can see it
     reference = DescentCounter()
