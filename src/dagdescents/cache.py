@@ -10,13 +10,12 @@ File layout (one record per line; a header with zero records is legal):
 
 Each record is "<family> <n> <k> <decimal-value>" with the family drawn
 from the engine's six tags and n at most the engine's ``MAX_N``.  Keys
-must not repeat.  Loading validates the syntax strictly and then
-re-checks every record that overlaps the golden fixture, so a cache file
-cannot silently smuggle wrong d values for n <= 8; everything else is
-trusted (it skips recomputation, which is the point of the file), apart
-from the insertion identities the engine checks on every level it fills.
-The CLI's ``value``, ``table`` and ``verify`` never preload a snapshot:
-a cold fill is faster than loading one.
+must not repeat.  Loading validates the syntax strictly, and nothing is
+preloaded unless every d record in the golden fixture's range equals the
+fixture's value.  Records past the fixture are trusted, apart from the
+insertion identities the engine checks on every level it fills.  No CLI
+command reads or writes these files: ``value``, ``table`` and ``verify``
+fill a cold counter, which is faster than loading a snapshot.
 """
 from __future__ import annotations
 
@@ -109,9 +108,3 @@ def apply_records(counter: DescentCounter,
         except ValueError as exc:
             raise CacheError(f"rejected cache entry "
                              f"{family} {n} {k} {value}: {exc}") from exc
-
-
-def clear_cache(path: str | os.PathLike) -> None:
-    """Truncate the cache file (creating it empty if missing)."""
-    with open(path, "w", encoding="ascii"):
-        pass

@@ -6,7 +6,6 @@ from dagdescents.cache import (
     HEADER,
     CacheError,
     apply_records,
-    clear_cache,
     load_records,
     save_cache,
 )
@@ -167,15 +166,16 @@ def test_deep_records_outside_fixture_are_trusted(tmp_path):
     assert warmed.dag_count(9, 3) == source.dag_count(9, 3)
 
 
-def test_clear_truncates(tmp_path):
-    path = tmp_path / "memo.cache"
-    save_cache(path, _filled(3))
-    assert path.stat().st_size > 0
-    clear_cache(path)
-    assert path.read_bytes() == b""
+def test_load_rejects_n_above_ceiling(tmp_path):
+    path = tmp_path / "deep.cache"
+    path.write_text(f"{HEADER}\nd 300 0 1\n")
+    with pytest.raises(CacheError) as excinfo:
+        load_records(path)
+    assert str(excinfo.value) == ("line 2: n = 300 is above the supported "
+                                  "maximum 40")
 
 
-def test_clear_creates_missing_file(tmp_path):
-    path = tmp_path / "fresh.cache"
-    clear_cache(path)
-    assert path.exists() and path.stat().st_size == 0
+def test_load_accepts_n_at_ceiling(tmp_path):
+    path = tmp_path / "deep.cache"
+    path.write_text(f"{HEADER}\nd 40 0 1\n")
+    assert load_records(path) == [("d", 40, 0, 1)]

@@ -11,12 +11,6 @@ from dagdescents.cache import HEADER
 from dagdescents.engine import DescentCounter, labeled_dag_total
 
 
-# Python 3.10.7+ limits int() on text to 4,300 digits by default.
-needs_digit_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"),
-    reason="this Python has no int/str digit limit")
-
-
 def run_cli(*argv):
     """Invoke main(); argparse errors surface as SystemExit(2)."""
     try:
@@ -86,7 +80,7 @@ def test_value_edges(capsys):
     ("value", "--n", "41", "--k", "0"),
     ("table", "--max-n", "41"),
     ("verify", "--max-n", "41"),
-    ("cache", "save", "--max-n", "41"),
+    ("verify", "--oracle-max-n", "41"),
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -242,89 +236,13 @@ def test_verify_ignores_cache_env(tmp_path, monkeypatch, capsys):
 
 
 # ----------------------------------------------------------------------
-# cache subcommand
+# no cache subcommand
 
-def test_cache_save_load_clear_cycle(tmp_path, capsys):
+def test_cache_subcommand_is_gone(tmp_path, capsys):
     path = tmp_path / "memo.cache"
-    assert run_cli("cache", "save", "--path", str(path), "--max-n", "4") == 0
-    out = capsys.readouterr().out
-    assert f"to {path}" in out and out.startswith("saved ")
-    text = path.read_text()
-    assert text.startswith(HEADER + "\n")
-    record_count = len(text.splitlines()) - 1
-
-    assert run_cli("cache", "load", "--path", str(path)) == 0
-    assert capsys.readouterr().out == (
-        f"loaded {record_count} entries from {path} "
-        f"(fixture overlap verified)\n")
-
-    assert run_cli("cache", "clear", "--path", str(path)) == 0
-    assert capsys.readouterr().out == f"cleared {path}\n"
-    assert path.read_bytes() == b""
-
-
-def test_cache_requires_a_path(tmp_path, monkeypatch, capsys):
-    # DESCENTS_CACHE no longer supplies a default path
-    monkeypatch.setenv("DESCENTS_CACHE", str(tmp_path / "memo.cache"))
-    assert run_cli("cache", "save") == 2
-    assert "no cache path" in capsys.readouterr().err
-    assert not (tmp_path / "memo.cache").exists()
-
-
-def test_cache_load_rejects_old_header(tmp_path, capsys):
-    path = tmp_path / "old.cache"
-    path.write_text("DESCENTS-CACHE v0\nd 0 0 1\n")
-    assert run_cli("cache", "load", "--path", str(path)) == 1
-    assert "bad cache header" in capsys.readouterr().err
-
-
-def test_cache_load_rejects_fixture_conflict(tmp_path, capsys):
-    path = tmp_path / "evil.cache"
-    path.write_text(f"{HEADER}\nd 3 1 12\n")
-    assert run_cli("cache", "load", "--path", str(path)) == 1
-    err = capsys.readouterr().err
-    assert "d 3 1 expected 11, cache has 12" in err
-
-
-def test_cache_load_rederives_deep_records(tmp_path, capsys):
-    # d(9,36) is 1: only the graph with every edge x -> y, x > y, has
-    # C(9,2) = 36 descents.  The fixture stops at n = 8, so only a
-    # recomputation can catch this record.
-    path = tmp_path / "deep.cache"
-    path.write_text(f"{HEADER}\nd 9 36 2\n")
-    assert run_cli("cache", "load", "--path", str(path)) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: cache conflicts with computed values: "
-                            "d 9 36 expected 1, cache has 2\n")
-
-
-def test_cache_load_rejects_n_above_ceiling(tmp_path, capsys):
-    path = tmp_path / "deep.cache"
-    path.write_text(f"{HEADER}\nd 300 0 1\n")
-    assert run_cli("cache", "load", "--path", str(path)) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: line 2: n = 300 is above the supported "
-                            "maximum 40\n")
-
-
-@needs_digit_limit
-def test_cache_load_oversized_integer_exits_1(tmp_path):
-    path = tmp_path / "long.cache"
-    path.write_text(f"{HEADER}\nd 3 0 {'9' * 5000}\n")
-    result = run_python("-m", "dagdescents", "cache", "load",
-                        "--path", str(path))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == ("error: line 2: integer field longer than "
-                             f"{sys.get_int_max_str_digits()} digits\n")
-
-
-def test_cache_save_unwritable(tmp_path, capsys):
-    assert run_cli("cache", "save", "--path", str(tmp_path),
-                   "--max-n", "2") == 2
-    assert "cannot write" in capsys.readouterr().err
+    assert run_cli("cache", "save", "--path", str(path)) == 2
+    assert "invalid choice: 'cache'" in capsys.readouterr().err
+    assert not path.exists()
 
 
 # ----------------------------------------------------------------------
