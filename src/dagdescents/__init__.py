@@ -6,11 +6,14 @@ package computes d(n,k), the number of acyclic digraphs on vertices
 recurrences (`DescentCounter`), and ships the machinery used to trust
 those numbers: an exhaustive brute-force enumerator for small n, a
 golden fixture of known-good values, classical cross-checks on the row
-totals, a plain-text snapshot format, and a CLI.
+totals and their reciprocal series (the ``verify`` module), a plain-text
+snapshot format, and a CLI.
 
 The public names below load on first use: importing the package (or
 running ``python -m dagdescents``) imports no submodule, so a command
-only pays for the modules it runs.
+only pays for the modules it runs.  ``value`` and ``table`` load
+``cli``, ``engine`` and ``combinatorics``; only ``verify`` loads the
+``verify`` module, the golden fixture and the oracle.
 """
 import importlib
 
@@ -20,12 +23,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "combinatorics": ("binomial", "gaussian_coeffs", "gaussian_coefficient",
                       "partition_count", "pow2", "two_factorial"),
-    "engine": ("FAMILIES", "DescentCounter", "labeled_dag_total",
-               "series_identity_check"),
+    "engine": ("FAMILIES", "DescentCounter", "labeled_dag_total"),
     "golden": ("GOLDEN_COUNTS", "GOLDEN_MAX_N", "GOLDEN_TOTALS",
                "golden_value"),
     "oracle": ("Dag", "DagStats", "OracleCounts", "enumerate_counts",
                "is_acyclic", "stats", "subset_pair_histogram"),
+    "verify": ("series_identity_check",),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -6,7 +6,8 @@ Three subcommands:
 - ``table``: emit the full triangle up to --max-n as csv, json, md or latex.
 - ``verify``: recompute everything from scratch and cross-check it against
   the golden fixture, the exhaustive enumerator, the labeled-DAG totals,
-  the reciprocal-series identity, and the subset-pair histograms.
+  the reciprocal-series identity, and the subset-pair histograms.  The
+  checks live in the ``verify`` module, which only this subcommand loads.
 
 Each computes from a cold engine.  Exit codes: 0 success, 1 verification
 mismatch or an internal inconsistency (a filled count came out negative
@@ -18,21 +19,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .combinatorics import gaussian_coefficient
-from .engine import (
-    MAX_N,
-    DescentCounter,
-    EngineInconsistency,
-    labeled_dag_total,
-    series_identity_check,
-)
-from .golden import GOLDEN_COUNTS, GOLDEN_MAX_N
+from .engine import MAX_N, DescentCounter, EngineInconsistency
 
 # Every call pays for the imports above at start-up, so they are only
-# what ``value`` and ``table`` run.  The oracle and json are imported
-# inside the code that uses them.
+# what ``value`` and ``table`` run.  json and the ``verify`` module (its
+# checks, the golden fixture and the oracle) are imported inside the code
+# that uses them.
 
 TABLE_FORMATS = ("csv", "json", "md", "latex")
+
+#: The names of ``verify.VERIFY_CHECKS``, in run order, for the parser.
+CHECK_NAMES = ("golden", "totals", "series", "subsets", "oracle")
 
 
 def _nonnegative(text: str) -> int:
@@ -100,6 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checks", default=",".join(CHECK_NAMES),
                           help="comma-separated subset of: "
                                + ", ".join(CHECK_NAMES))
+    # verify's own usage errors print its usage line, not the top level's
+    p_verify.set_defaults(parser=p_verify)
     return parser
 
 
@@ -184,103 +183,6 @@ FORMATTERS = {
 
 
 # ----------------------------------------------------------------------
-# verify checks: each takes (counter, args) and returns None on success or
-# a failure detail string
-
-def _check_golden(counter: DescentCounter,
-                  args: argparse.Namespace) -> str | None:
-    top = min(args.max_n, GOLDEN_MAX_N)
-    for n in range(1, top + 1):
-        expected_row = GOLDEN_COUNTS[n]
-        actual_row = counter.table(n)[n - 1]
-        for k, expected in enumerate(expected_row):
-            actual = actual_row[k]
-            if actual != expected:
-                return f"d {n} {k} expected {expected} actual {actual}"
-    return None
-
-
-def _check_totals(counter: DescentCounter,
-                  args: argparse.Namespace) -> str | None:
-    for n in range(args.max_n + 1):
-        expected = labeled_dag_total(n)
-        actual = counter.row_total(n)
-        if actual != expected:
-            return f"total {n} expected {expected} actual {actual}"
-    return None
-
-
-def _check_series(counter: DescentCounter,
-                  args: argparse.Namespace) -> str | None:
-    if not series_identity_check(args.max_n):
-        return f"reciprocal series identity fails by degree {args.max_n}"
-    return None
-
-
-def _check_subsets(counter: DescentCounter,
-                   args: argparse.Namespace) -> str | None:
-    from .oracle import subset_pair_histogram
-
-    for n in range(9):
-        for j in range(n + 1):
-            histogram = subset_pair_histogram(n, j)
-            for i, actual in enumerate(histogram):
-                expected = gaussian_coefficient(n, j, i)
-                if actual != expected:
-                    return (f"histogram {n} {j} index {i} "
-                            f"expected {expected} actual {actual}")
-    return None
-
-
-def _check_oracle(counter: DescentCounter,
-                  args: argparse.Namespace) -> str | None:
-    from .oracle import enumerate_counts
-
-    for n in range(1, args.oracle_max_n + 1):
-        counts = enumerate_counts(n, allow_slow=args.allow_slow)
-        per_family = (
-            ("d", counter.dag_count, counts.by_descents.__getitem__),
-            ("t", counter.spanning_from_lowest,
-             counts.spanning_from_lowest.__getitem__),
-            ("u", counter.spanning_from_highest,
-             counts.spanning_from_highest.__getitem__),
-            ("A", counter.descent_incidences_into_lowest,
-             counts.descent_incidences_into_lowest),
-            ("B", counter.reachability_incidences_from_lowest,
-             counts.reachability_incidences_from_lowest),
-            ("Cw", counter.lowest_indegree_overcount,
-             counts.lowest_indegree_overcount),
-        )
-        for k in range(n * (n - 1) // 2 + 1):
-            for family, engine_side, oracle_side in per_family:
-                expected = oracle_side(k)
-                actual = engine_side(n, k)
-                if actual != expected:
-                    return (f"{family} {n} {k} "
-                            f"expected {expected} actual {actual}")
-    return None
-
-
-#: The verify checks in run order: (name, check, scope(args) -> the text
-#: after "PASS name: ").
-VERIFY_CHECKS = (
-    ("golden", _check_golden,
-     lambda args: f"rows 1..{min(args.max_n, GOLDEN_MAX_N)} vs fixture"),
-    ("totals", _check_totals,
-     lambda args: f"row sums vs alternating recurrence, n <= {args.max_n}"),
-    ("series", _check_series,
-     lambda args: f"reciprocal series through degree {args.max_n}"),
-    ("subsets", _check_subsets,
-     lambda args: "pair histograms vs coefficients, n <= 8"),
-    ("oracle", _check_oracle,
-     lambda args: (f"six families vs exhaustive enumeration, "
-                   f"n <= {args.oracle_max_n}")),
-)
-
-CHECK_NAMES = tuple(name for name, _, _ in VERIFY_CHECKS)
-
-
-# ----------------------------------------------------------------------
 # subcommands
 
 def _cmd_value(args: argparse.Namespace) -> int:
@@ -303,47 +205,20 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace,
-                parser: argparse.ArgumentParser) -> int:
-    from .oracle import MAX_ORACLE_N
+def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run
 
-    requested = [name.strip() for name in args.checks.split(",")
-                 if name.strip()]
-    if not requested:
-        parser.error(f"no checks named (valid: {', '.join(CHECK_NAMES)})")
-    unknown = [name for name in requested if name not in CHECK_NAMES]
-    if unknown:
-        parser.error(f"unknown checks: {', '.join(unknown)} "
-                     f"(valid: {', '.join(CHECK_NAMES)})")
-    if args.oracle_max_n > MAX_ORACLE_N:
-        parser.error(f"--oracle-max-n is capped at {MAX_ORACLE_N}")
-    if args.oracle_max_n == MAX_ORACLE_N and not args.allow_slow:
-        parser.error("--oracle-max-n 6 enumerates 3,781,503 DAGs "
-                     "(a few seconds); pass --allow-slow to confirm")
-
-    counter = DescentCounter()
-    failures = 0
-    for name, check, scope in VERIFY_CHECKS:
-        if name not in requested:
-            continue
-        detail = check(counter, args)
-        if detail is None:
-            print(f"PASS {name}: {scope(args)}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {detail}")
-    return 1 if failures else 0
+    return run(args, args.parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "value":
             return _cmd_value(args)
         if args.command == "table":
             return _cmd_table(args)
-        return _cmd_verify(args, parser)
+        return _cmd_verify(args)
     except EngineInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

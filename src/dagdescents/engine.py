@@ -407,27 +407,3 @@ def labeled_dag_total(n: int) -> int:
         totals.append(acc)
     return totals[n]
 
-
-def series_identity_check(degree: int) -> bool:
-    """Verify the reciprocal-series identity for DAG totals, exactly.
-
-    With weights w_n = 1 / (n! * 2^C(n,2)), the series sum a_n w_n x^n
-    (a_n = labeled_dag_total(n)) and sum (-1)^n w_n x^n are reciprocal
-    formal power series.  Returns True iff their Cauchy product equals 1
-    through the requested degree.  Everything is scaled by
-    M = degree! * 2^C(degree,2), which makes every M * w_m an integer, so
-    the check is exact integer arithmetic: the scaled product must be M^2
-    at degree 0 and 0 above it.
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    scale = math.factorial(degree) << math.comb(degree, 2)
-    weights = [scale // (math.factorial(m) << math.comb(m, 2))
-               for m in range(degree + 1)]
-    lead = [labeled_dag_total(m) * weights[m] for m in range(degree + 1)]
-    alternating = [(-1) ** m * weights[m] for m in range(degree + 1)]
-    for d in range(degree + 1):
-        convolution = sum(lead[i] * alternating[d - i] for i in range(d + 1))
-        if convolution != (scale * scale if d == 0 else 0):
-            return False
-    return True

@@ -1,0 +1,172 @@
+"""The ``verify`` subcommand's checks.
+
+Each check recomputes part of the table from a cold engine and compares
+it with an independent source: the golden fixture, the alternating
+labeled-DAG recurrence, the reciprocal-series identity, the subset-pair
+histograms and the exhaustive enumerator.  Only ``verify`` imports this
+module, so ``value`` and ``table`` neither load nor compile it.
+"""
+from __future__ import annotations
+
+import argparse
+import math
+
+from .combinatorics import gaussian_coefficient
+from .engine import DescentCounter, labeled_dag_total
+from .golden import GOLDEN_COUNTS, GOLDEN_MAX_N
+
+
+def series_identity_check(degree: int) -> bool:
+    """Verify the reciprocal-series identity for DAG totals, exactly.
+
+    With weights w_n = 1 / (n! * 2^C(n,2)), the series sum a_n w_n x^n
+    (a_n = labeled_dag_total(n)) and sum (-1)^n w_n x^n are reciprocal
+    formal power series.  Returns True iff their Cauchy product equals 1
+    through the requested degree.  Everything is scaled by
+    M = degree! * 2^C(degree,2), which makes every M * w_m an integer, so
+    the check is exact integer arithmetic: the scaled product must be M^2
+    at degree 0 and 0 above it.
+    """
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    scale = math.factorial(degree) << math.comb(degree, 2)
+    weights = [scale // (math.factorial(m) << math.comb(m, 2))
+               for m in range(degree + 1)]
+    lead = [labeled_dag_total(m) * weights[m] for m in range(degree + 1)]
+    alternating = [(-1) ** m * weights[m] for m in range(degree + 1)]
+    for d in range(degree + 1):
+        convolution = sum(lead[i] * alternating[d - i] for i in range(d + 1))
+        if convolution != (scale * scale if d == 0 else 0):
+            return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# checks: each takes (counter, args) and returns None on success or a
+# failure detail string
+
+def _check_golden(counter: DescentCounter,
+                  args: argparse.Namespace) -> str | None:
+    top = min(args.max_n, GOLDEN_MAX_N)
+    for n in range(1, top + 1):
+        expected_row = GOLDEN_COUNTS[n]
+        actual_row = counter.table(n)[n - 1]
+        for k, expected in enumerate(expected_row):
+            actual = actual_row[k]
+            if actual != expected:
+                return f"d {n} {k} expected {expected} actual {actual}"
+    return None
+
+
+def _check_totals(counter: DescentCounter,
+                  args: argparse.Namespace) -> str | None:
+    for n in range(args.max_n + 1):
+        expected = labeled_dag_total(n)
+        actual = counter.row_total(n)
+        if actual != expected:
+            return f"total {n} expected {expected} actual {actual}"
+    return None
+
+
+def _check_series(counter: DescentCounter,
+                  args: argparse.Namespace) -> str | None:
+    if not series_identity_check(args.max_n):
+        return f"reciprocal series identity fails by degree {args.max_n}"
+    return None
+
+
+def _check_subsets(counter: DescentCounter,
+                   args: argparse.Namespace) -> str | None:
+    from .oracle import subset_pair_histogram
+
+    for n in range(9):
+        for j in range(n + 1):
+            histogram = subset_pair_histogram(n, j)
+            for i, actual in enumerate(histogram):
+                expected = gaussian_coefficient(n, j, i)
+                if actual != expected:
+                    return (f"histogram {n} {j} index {i} "
+                            f"expected {expected} actual {actual}")
+    return None
+
+
+def _check_oracle(counter: DescentCounter,
+                  args: argparse.Namespace) -> str | None:
+    from .oracle import enumerate_counts
+
+    for n in range(1, args.oracle_max_n + 1):
+        counts = enumerate_counts(n, allow_slow=args.allow_slow)
+        per_family = (
+            ("d", counter.dag_count, counts.by_descents.__getitem__),
+            ("t", counter.spanning_from_lowest,
+             counts.spanning_from_lowest.__getitem__),
+            ("u", counter.spanning_from_highest,
+             counts.spanning_from_highest.__getitem__),
+            ("A", counter.descent_incidences_into_lowest,
+             counts.descent_incidences_into_lowest),
+            ("B", counter.reachability_incidences_from_lowest,
+             counts.reachability_incidences_from_lowest),
+            ("Cw", counter.lowest_indegree_overcount,
+             counts.lowest_indegree_overcount),
+        )
+        for k in range(n * (n - 1) // 2 + 1):
+            for family, engine_side, oracle_side in per_family:
+                expected = oracle_side(k)
+                actual = engine_side(n, k)
+                if actual != expected:
+                    return (f"{family} {n} {k} "
+                            f"expected {expected} actual {actual}")
+    return None
+
+
+#: The checks in run order: (name, check, scope(args) -> the text after
+#: "PASS name: ").  ``cli.CHECK_NAMES`` lists the same names, in the same
+#: order, for the parser.
+VERIFY_CHECKS = (
+    ("golden", _check_golden,
+     lambda args: f"rows 1..{min(args.max_n, GOLDEN_MAX_N)} vs fixture"),
+    ("totals", _check_totals,
+     lambda args: f"row sums vs alternating recurrence, n <= {args.max_n}"),
+    ("series", _check_series,
+     lambda args: f"reciprocal series through degree {args.max_n}"),
+    ("subsets", _check_subsets,
+     lambda args: "pair histograms vs coefficients, n <= 8"),
+    ("oracle", _check_oracle,
+     lambda args: (f"six families vs exhaustive enumeration, "
+                   f"n <= {args.oracle_max_n}")),
+)
+
+
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Run the checks ``args.checks`` names, printing one PASS or FAIL
+    line each; usage errors go through ``parser`` (exit 2)."""
+    from .oracle import MAX_ORACLE_N
+
+    names = [name for name, _, _ in VERIFY_CHECKS]
+    valid = ", ".join(names)
+    requested = [name.strip() for name in args.checks.split(",")
+                 if name.strip()]
+    if not requested:
+        parser.error(f"no checks named (valid: {valid})")
+    unknown = [name for name in requested if name not in names]
+    if unknown:
+        parser.error(f"unknown checks: {', '.join(unknown)} "
+                     f"(valid: {valid})")
+    if args.oracle_max_n > MAX_ORACLE_N:
+        parser.error(f"--oracle-max-n is capped at {MAX_ORACLE_N}")
+    if args.oracle_max_n == MAX_ORACLE_N and not args.allow_slow:
+        parser.error("--oracle-max-n 6 enumerates 3,781,503 DAGs "
+                     "(a few seconds); pass --allow-slow to confirm")
+
+    counter = DescentCounter()
+    failures = 0
+    for name, check, scope in VERIFY_CHECKS:
+        if name not in requested:
+            continue
+        detail = check(counter, args)
+        if detail is None:
+            print(f"PASS {name}: {scope(args)}")
+        else:
+            failures += 1
+            print(f"FAIL {name}: {detail}")
+    return 1 if failures else 0

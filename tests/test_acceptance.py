@@ -18,13 +18,10 @@ from dagdescents.combinatorics import (
     pow2,
     two_factorial,
 )
-from dagdescents.engine import (
-    DescentCounter,
-    labeled_dag_total,
-    series_identity_check,
-)
+from dagdescents.engine import DescentCounter, labeled_dag_total
 from dagdescents.golden import GOLDEN_COUNTS, GOLDEN_TOTALS
 from dagdescents.oracle import enumerate_counts, subset_pair_histogram
+from dagdescents.verify import series_identity_check
 
 EXPECTED_TOTALS = (1, 3, 25, 543, 29281, 3781503, 1138779265, 783702329343)
 

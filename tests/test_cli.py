@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dagdescents import cli, golden
+from dagdescents import cli, golden, verify
 from dagdescents.cache import HEADER
 from dagdescents.engine import DescentCounter, labeled_dag_total
 
@@ -34,28 +34,50 @@ def run_python(*args, **env_vars):
 # ----------------------------------------------------------------------
 # value
 
-# Records the modules loaded before the package, so that whatever the
-# host's ``site`` preloads does not count against it.
-VALUE_SCRIPT = """
-import sys
+# Runs one command in a fresh interpreter and prints its exit code and
+# the modules it loaded.  Records the modules loaded before the package,
+# so that whatever the host's ``site`` preloads does not count against it.
+# (In-process tests share ``sys.modules``, so only a fresh interpreter can
+# see what a command loads.)
+MODULES_SCRIPT = """
+import contextlib, io, sys
 before = set(sys.modules)
 from dagdescents import cli
-code = cli.main(["value", "--n", "4", "--k", "3"])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
 print(code, " ".join(sorted(set(sys.modules) - before)))
 """
 
+NOT_FOR_VALUE_OR_TABLE = ("dagdescents.verify", "dagdescents.golden",
+                          "dagdescents.oracle", "dagdescents.cache")
+
+
+def loaded_modules(*argv):
+    """(exit code, modules loaded) of ``cli.main(argv)`` in a fresh
+    interpreter."""
+    result = run_python("-c", MODULES_SCRIPT, *argv)
+    assert result.returncode == 0, result.stderr
+    code, *added = result.stdout.split()
+    return int(code), added
+
 
 def test_value_imports_neither_oracle_nor_cache():
-    result = run_python("-c", VALUE_SCRIPT)
-    assert result.returncode == 0, result.stderr
-    value, last = result.stdout.splitlines()
-    assert value == "102"
-    code, *added = last.split()
-    assert code == "0"
+    code, added = loaded_modules("value", "--n", "4", "--k", "3")
+    assert code == 0
     assert "dagdescents.engine" in added
-    not_for_value = ("dagdescents.oracle", "dagdescents.cache",
-                     "dataclasses", "fractions", "json")
+    not_for_value = NOT_FOR_VALUE_OR_TABLE + ("dataclasses", "fractions",
+                                              "json")
     assert [name for name in not_for_value if name in added] == []
+    for fmt in cli.TABLE_FORMATS:
+        code, added = loaded_modules("table", "--max-n", "5",
+                                     "--format", fmt)
+        assert code == 0
+        assert "dagdescents.engine" in added
+        assert [name for name in NOT_FOR_VALUE_OR_TABLE
+                if name in added] == [], fmt
+    code, added = loaded_modules("verify", "--checks", "golden")
+    assert code == 0
+    assert {"dagdescents.verify", "dagdescents.golden"} <= set(added)
 
 
 def test_value_golden(capsys):
@@ -207,19 +229,39 @@ def test_verify_detects_tampered_fixture(monkeypatch, capsys):
     assert "FAIL golden: d 5 2 expected 6699 actual 6698" in out
 
 
-def test_verify_gates_full_oracle():
+def test_check_names_match_the_checks_in_order():
+    assert cli.CHECK_NAMES == tuple(name for name, _, _
+                                    in verify.VERIFY_CHECKS)
+
+
+# verify's usage errors print verify's own usage line, as argparse's do
+VERIFY_USAGE = "usage: dagdescents verify [-h]"
+
+
+def test_verify_gates_full_oracle(capsys):
     assert run_cli("verify", "--oracle-max-n", "6") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(VERIFY_USAGE)
+    assert ("dagdescents verify: error: --oracle-max-n 6 enumerates "
+            "3,781,503 DAGs (a few seconds); pass --allow-slow to confirm\n"
+            ) in err
     assert run_cli("verify", "--oracle-max-n", "7", "--allow-slow") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(VERIFY_USAGE)
+    assert "dagdescents verify: error: --oracle-max-n is capped at 6\n" in err
 
 
 def test_verify_rejects_unknown_check(capsys):
     valid = "(valid: golden, totals, series, subsets, oracle)"
     assert run_cli("verify", "--checks", "golden,frobnicate") == 2
-    assert f"unknown checks: frobnicate {valid}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(VERIFY_USAGE)
+    assert f"unknown checks: frobnicate {valid}" in err
     for empty in (",", ""):  # an empty list must not pass vacuously
         assert run_cli("verify", "--checks", empty) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith(VERIFY_USAGE)
         assert f"no checks named {valid}" in captured.err
 
 
