@@ -10,12 +10,11 @@ File layout (one record per line; a header with zero records is legal):
 
 Each record is "<family> <n> <k> <decimal-value>" with the family drawn
 from the engine's six tags and n at most the engine's ``MAX_N``.  Keys
-must not repeat.  Loading validates the syntax strictly, and nothing is
-preloaded unless every d record in the golden fixture's range equals the
-fixture's value.  Records past the fixture are trusted, apart from the
-insertion identities the engine checks on every level it fills.  No CLI
-command reads or writes these files: ``value``, ``table`` and ``verify``
-fill a cold counter, which is faster than loading a snapshot.
+must not repeat.  Loading validates the syntax strictly, and applying
+records checks every one against a fill of the counter: nothing read
+from the file is stored.  No CLI command reads or writes these files:
+``value``, ``table`` and ``verify`` fill a cold counter, which is
+faster than loading a snapshot.
 """
 from __future__ import annotations
 
@@ -88,11 +87,12 @@ def load_records(path: str | os.PathLike) -> list[tuple[str, int, int, int]]:
 
 def apply_records(counter: DescentCounter,
                   records: list[tuple[str, int, int, int]]) -> None:
-    """Preload validated records into ``counter``.
+    """Check validated records against ``counter``'s computed cells.
 
     Every d record inside the golden fixture's range is compared against
-    the fixture first, so no preloading happens at all if any record
-    disagrees with known-good values.
+    the fixture first, so nothing is filled if any record disagrees with
+    known-good values.  ``counter.preload`` then checks each record by a
+    fill to its level: one at n = 40 costs a fill to 40 (17-28 s).
     """
     for family, n, k, value in records:
         if family != "d":

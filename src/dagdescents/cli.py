@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 4, max 6)")
     p_verify.add_argument("--allow-slow", action="store_true",
                           help="permit the n=6 exhaustive run "
-                               "(3,781,503 DAGs, a few seconds)")
+                               "(3,781,503 DAGs, about a second)")
     p_verify.add_argument("--checks", default=",".join(CHECK_NAMES),
                           help="comma-separated subset of: "
                                + ", ".join(CHECK_NAMES))

@@ -37,8 +37,8 @@ vertex 1 is a source:
     (ii) Cw(n,k) = A(n,k) - d(n,k) + 2^(n-1) d(n-1,k)
 
 Eliminating A(n,k) between them gives the d recurrence.  Both are
-checked on every level once it fills, staged cells included, so a wrong
-cell raises ``EngineInconsistency`` instead of reaching an answer.
+checked on every level once it fills, so a wrong cell raises
+``EngineInconsistency`` instead of reaching an answer.
 
 The five other families are built a whole row at a time.  Each splits
 the vertices into a set X of j vertices closed under reachability from
@@ -65,19 +65,22 @@ o = n - j vertices, so every cross edge runs from Y into X:
       B      | (j-1) (1+x)^o                 | any, weight j-1 = |X - 1|
       Cw     | o x (1+x)^(o-1) - (1+x)^o + 1 | m >= 2, weight m-1
 
-A, B and Cw share R = P_j Q_o W_j (1+x)^(o-1), one product per split.
-For u the j-1 pairs from vertex n into X - 1 are descents too; its
-weights carry them as the Gaussian-coefficient offset i - j + 1.
+A, B and Cw share R = P_j Q_o W_j (1+x)^(o-1), one product per split,
+and u's (1+x)^o is (1+x) (1+x)^(o-1): one binomial row per split.  For
+u the j-1 pairs from vertex n into X - 1 are descents too; its weights
+carry them as the Gaussian-coefficient offset i - j + 1.  At j = n
+(o = 0) only B has a term, (n-1) t_n, which reads the level's own t row.
 
 A level is evaluated at one integer point x = 2^w, not multiplied out
 cell by cell (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44,
 2009): each stored row packs into one integer with a w-bit slot per
 cell, each product above is one big-integer multiply, W_j follows by
 Horner's rule in 1+x, and the result's slots are the level's cells.
-The same code run at x = 1 first gives w: all weights and cross
-polynomials have nonnegative coefficients, so no cell exceeds its row's
-value at 1, and w one bit wider than the largest such value cannot
-alias, whatever the (possibly staged) input rows hold.  A bound taken
+One pass over j < n gives all five rows; B's j = n term is added cell by
+cell once t is unpacked.  The same pass run at x = 1 first gives w: all
+weights and cross polynomials have nonnegative coefficients, so no cell
+exceeds its row's value at 1, and w one bit wider than the largest such
+value cannot alias, whatever the stored input rows hold.  A bound taken
 from the true counts would do only while every stored row is right; this
 one keeps a row that a bug made wrong from aliasing too, so the guards
 still see it.
@@ -125,8 +128,6 @@ class DescentCounter:
         self._rows: dict[str, dict[int, list[int]]] = {
             tag: {} for tag in FAMILIES}
         self._rows["d"][0] = [1]  # the empty graph has zero descents
-        # staged cells {k: value} per (family, n), until that row fills
-        self._staged: dict[tuple[str, int], dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     # public queries
@@ -192,39 +193,19 @@ class DescentCounter:
                     yield tag, n, k, value
 
     def preload(self, family: str, n: int, k: int, value: int) -> None:
-        """Stage a known value that overrides the computed cell.
+        """Check a known value against the computed cell.
 
-        A row whose every cell is staged is taken as is and not computed.
-        Staged values are trusted, so callers are expected to validate
-        them first (the cache layer re-checks everything that overlaps
-        the golden fixture).  Values that contradict structural facts —
-        a nonzero count past k = C(n,2), or a mismatch with an already
-        computed cell — are rejected with ValueError.
+        Fills to level n and raises ValueError unless ``value`` equals
+        the cell; a cell past k = C(n,2) is 0.  Nothing is stored, so
+        every value the counter holds is one it computed.
         """
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        if n < 0 or k < 0:
-            raise ValueError(f"indices must be nonnegative, got n={n} k={k}")
-        if value < 0:
-            raise ValueError(f"counts are nonnegative, got {value}")
-        if family != "d" and n == 0:
-            raise ValueError(f"family {family} starts at n=1")
-        if k > n * (n - 1) // 2:
-            if value != 0:
-                raise ValueError(
-                    f"{family}({n},{k}) must be 0: k exceeds C(n,2)")
-            return  # nothing to store; lookups past the row end are 0
-        row = self._rows[family].get(n)
-        if row is not None:
-            if row[k] != value:
-                raise ValueError(
-                    f"{family} {n} {k} conflicts with computed value "
-                    f"{row[k]} (got {value})")
-            return
-        cells = self._staged.setdefault((family, n), {})
-        if cells.get(k, value) != value:
-            raise ValueError(f"conflicting staged values for {family} {n} {k}")
-        cells[k] = value
+        self._validate(n, k, smallest_n=0 if family == "d" else 1)
+        self._ensure(n)
+        computed = self._lookup(family, n, k)
+        if value != computed:
+            raise ValueError(f"{family}({n},{k}) is {computed}, not {value}")
 
     # ------------------------------------------------------------------
     # internals
@@ -250,40 +231,17 @@ class DescentCounter:
 
     def _fill_level(self, n: int) -> None:
         size = n * (n - 1) // 2 + 1
-        staged = {tag: self._staged.pop((tag, n), {}) for tag in FAMILIES}
+        rows = self._packed_rows(n, size)
+        t_row, _, a_row, b_row, cw_row = rows
+        for k, value in enumerate(t_row):  # B's j = n split
+            b_row[k] += (n - 1) * value
+        for tag, row in zip(FAMILIES[1:], rows):
+            self._rows[tag][n] = row
 
-        def settle(tags, values) -> None:
-            """Store the level-n rows of ``tags``.  If every cell is
-            staged the rows are taken as they are; otherwise they are
-            computed and staged cells override computed ones."""
-            if all(len(staged[tag]) == size for tag in tags):
-                for tag in tags:
-                    cells = staged[tag]
-                    self._rows[tag][n] = [cells[k] for k in range(size)]
-                return
-            for tag, row in zip(tags, self._packed_rows(n, size, values)):
-                for k, value in staged[tag].items():
-                    row[k] = value
-                self._rows[tag][n] = row
-
-        # Order matters: B's j = n term reads the finished level-n t row,
-        # and the d row reads all of A, B, Cw at level n.
-        settle(("t", "u"), self._spanning_values)
-        settle(("A", "B", "Cw"), self._incidence_values)
-
-        a_row, b_row, cw_row = (self._rows[tag][n]
-                                for tag in ("A", "B", "Cw"))
         d_prev = self._rows["d"][n - 1]
-        d_row = [0] * size
+        d_row = [pow2(size - 1)] + [0] * (size - 1)  # 2^C(n,2) at k = 0
         source_ways = pow2(n - 1)
-        for k in range(size):
-            cached = staged["d"].get(k)
-            if cached is not None:
-                d_row[k] = cached
-                continue
-            if k == 0:
-                d_row[0] = pow2(n * (n - 1) // 2)
-                continue
+        for k in range(1, size):
             above = d_prev[k] if k < len(d_prev) else 0
             value = (source_ways * above + (n - 1) * d_row[k - 1]
                      - a_row[k - 1] - b_row[k - 1] - cw_row[k])
@@ -292,10 +250,10 @@ class DescentCounter:
                     f"internal inconsistency: d({n},{k}) = {value}")
             d_row[k] = value
 
-        # The insertion identities (module docstring) on the whole level,
-        # staged cells included; a cell past the end of a row is 0.  The
-        # level counts as filled only once its d row is stored, so a level
-        # that fails is filled afresh, without the staged cells, next time.
+        # The insertion identities (module docstring) on the whole level;
+        # a cell past the end of a row is 0.  The level counts as filled
+        # only once its d row is stored, so a level that fails is filled
+        # afresh next time.
         a, b, cw, d, d_prev = (
             row + [0] * (size + 1 - len(row))
             for row in (a_row, b_row, cw_row, d_row, d_prev))
@@ -310,11 +268,11 @@ class DescentCounter:
                                       f"fails at n={n}, k={k}")
         self._rows["d"][n] = d_row
 
-    def _packed_rows(self, n: int, size: int, values) -> list[list[int]]:
-        """Level-n rows from ``values(n, w, pack)``: the rows at x = 2^w,
-        given ``pack`` for a stored row.  A run at x = 1 bounds every cell
+    def _packed_rows(self, n: int, size: int) -> list[list[int]]:
+        """Level-n rows t, u, A, B and Cw, B without its j = n split, from
+        ``_level_values`` at x = 2^w.  A run at x = 1 bounds every cell
         (module docstring), and each cell gets a slot of whole bytes."""
-        bound = max(values(n, 0, sum))
+        bound = max(self._level_values(n, 0, sum))
         width = bound.bit_length() // 8 + 1  # bytes per cell
 
         def pack(row: list[int]) -> int:
@@ -323,7 +281,7 @@ class DescentCounter:
 
         try:
             data = [value.to_bytes(size * width, "little")
-                    for value in values(n, 8 * width, pack)]
+                    for value in self._level_values(n, 8 * width, pack)]
         except OverflowError:  # an input cell or a result out of its slots
             raise EngineInconsistency(
                 f"internal inconsistency: level {n} does not fit "
@@ -331,49 +289,39 @@ class DescentCounter:
         return [[int.from_bytes(row[k:k + width], "little")
                  for k in range(0, size * width, width)] for row in data]
 
-    def _spanning_values(self, n: int, w: int, pack) -> tuple[int, ...]:
-        """t_n and u_n at x = 2^w (see the module docstring).
+    def _level_values(self, n: int, w: int, pack) -> tuple[int, ...]:
+        """t_n, u_n, A_n, B_n (without j = n) and Cw_n at x = 2^w, given
+        ``pack`` for a stored row (see the module docstring).
 
         For t, X is the set reachable from vertex n: u on X, t on Y.  For
-        u, X is the set reachable from vertex 1: t on X, u on Y.
-        """
+        the others X is reachable from vertex 1: t on X, u or d on Y.  A
+        gets o x R, B (j-1)(1+x) R, Cw o x R - (1+x) R + P_j Q_o W_j."""
         if n == 1:
-            return 1, 1  # a lone vertex reaches itself
-        t = {m: pack(self._rows["t"][m]) for m in range(1, n)}
-        u = {m: pack(self._rows["u"][m]) for m in range(1, n)}
-        t_sum = u_sum = 0
+            return 1, 1, 0, 0, 0  # a lone vertex reaches itself
+        t, u, d = ({m: pack(self._rows[tag][m]) for m in range(1, n)}
+                   for tag in ("t", "u", "d"))
+        # sums of t, u, o R, (j-1) R, R and P_j Q_o W_j over the splits
+        t_sum = u_sum = by_o = by_j = plain = splits = 0
         for j in range(1, n):
             o = n - j
             free = (j - 1) * o  # pairs from Y into X other than the root
+            # (1+x)^(o-1): in R, and in u's (1+x)^o = (1+x) (1+x)^(o-1)
+            lower = pack([binomial(o - 1, m) for m in range(o)])
             weights = _gaussian_weights(w, gaussian_coeffs(n - 2, j - 1),
                                         free)
             t_sum += u[j] * t[o] * weights * (pow2(o) - 1)
             weights = _gaussian_weights(w, [
                 gaussian_coefficient(n - 2, j - 1, i - j + 1)
                 for i in range(free + 1)], free)
-            into_lowest = pack([binomial(o, m) for m in range(o + 1)]) - 1
-            u_sum += t[j] * u[o] * weights * into_lowest
-        return t_sum, u_sum
-
-    def _incidence_values(self, n: int, w: int, pack) -> tuple[int, ...]:
-        """A_n, B_n and Cw_n at x = 2^w (see the module docstring).
-
-        X is the set reachable from vertex 1: t on X, d on Y.  A gets
-        o x R, B gets (j-1)(1+x) R, Cw gets o x R - (1+x) R + P_j Q_o W_j,
-        and at j = n (o = 0) B gets (n-1) t_n and the others nothing."""
-        t = {m: pack(self._rows["t"][m]) for m in range(1, n + 1)}
-        d = {m: pack(self._rows["d"][m]) for m in range(n)}
-        by_o = by_j = plain = splits = 0  # sums of o R, (j-1) R, R, split
-        for j in range(1, n):
-            o = n - j
+            u_sum += t[j] * u[o] * weights * (lower + (lower << w) - 1)
             split = t[j] * d[o] * _gaussian_weights(
-                w, gaussian_coeffs(n - 1, j - 1), (j - 1) * o)
-            r = split * pack([binomial(o - 1, m) for m in range(o)])
+                w, gaussian_coeffs(n - 1, j - 1), free)
+            r = split * lower
             by_o += o * r
             by_j += (j - 1) * r
             plain += r
             splits += split
-        return (by_o << w, by_j + (by_j << w) + (n - 1) * t[n],
+        return (t_sum, u_sum, by_o << w, by_j + (by_j << w),
                 (by_o << w) - plain - (plain << w) + splits)
 
 

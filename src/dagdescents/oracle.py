@@ -289,7 +289,7 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
             f"got n={n}")
     if n == MAX_ORACLE_N and not allow_slow:
         raise ValueError(
-            "n=6 enumerates 3,781,503 DAGs and takes seconds; "
+            "n=6 enumerates 3,781,503 DAGs and takes about a second; "
             "pass allow_slow=True to run it anyway")
 
     full = (1 << n) - 1

@@ -156,7 +156,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--oracle-max-n is capped at {MAX_ORACLE_N}")
     if args.oracle_max_n == MAX_ORACLE_N and not args.allow_slow:
         parser.error("--oracle-max-n 6 enumerates 3,781,503 DAGs "
-                     "(a few seconds); pass --allow-slow to confirm")
+                     "(about a second); pass --allow-slow to confirm")
 
     counter = DescentCounter()
     failures = 0

@@ -182,15 +182,19 @@ def test_criterion_8_cli_golden(tmp_path, capsys, monkeypatch):
     assert run("verify", "--oracle-max-n", "6") == 2
     capsys.readouterr()
     packed_rows = DescentCounter._packed_rows
+    bumps = []
 
-    def bumped(self, n, size, values):
-        rows = packed_rows(self, n, size, values)
-        if n == 6 and len(rows) == 3:  # A(6,15) + 1: only the guard sees it
-            rows[0][15] += 1
+    def bumped(self, n, size):
+        rows = packed_rows(self, n, size)
+        t, u, a, b, cw = rows
+        if n == 6:  # A(6,15) + 1: only the guard sees it
+            a[15] += 1
+            bumps.append(n)
         return rows
 
     monkeypatch.setattr(DescentCounter, "_packed_rows", bumped)
     assert run("value", "--n", "6", "--k", "3") == 1
+    assert bumps == [6]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal inconsistency: ")

@@ -156,14 +156,26 @@ def test_impossible_record_beyond_fixture_range(tmp_path):
         apply_records(DescentCounter(), load_records(path))
 
 
-def test_deep_records_outside_fixture_are_trusted(tmp_path):
-    # values beyond the fixture (n > 8) round-trip without re-derivation
+def test_deep_records_outside_fixture_are_checked(tmp_path):
+    # values beyond the fixture (n > 8) are checked against a fill
     path = tmp_path / "deep.cache"
     source = _filled(9)
     save_cache(path, source)
     warmed = DescentCounter()
     apply_records(warmed, load_records(path))
     assert warmed.dag_count(9, 3) == source.dag_count(9, 3)
+
+
+def test_wrong_record_beyond_fixture_range(tmp_path):
+    # d(9,36) is 1: only the graph with every edge x -> y, x > y, has
+    # C(9,2) = 36 descents.  n = 9 is past the fixture, so only a fill
+    # can refute the record.
+    path = tmp_path / "deep.cache"
+    path.write_text(f"{HEADER}\nd 9 36 2\n")
+    with pytest.raises(CacheError) as excinfo:
+        apply_records(DescentCounter(), load_records(path))
+    assert str(excinfo.value) == ("rejected cache entry d 9 36 2: "
+                                  "d(9,36) is 1, not 2")
 
 
 def test_load_rejects_n_above_ceiling(tmp_path):

@@ -243,7 +243,7 @@ def test_verify_gates_full_oracle(capsys):
     err = capsys.readouterr().err
     assert err.startswith(VERIFY_USAGE)
     assert ("dagdescents verify: error: --oracle-max-n 6 enumerates "
-            "3,781,503 DAGs (a few seconds); pass --allow-slow to confirm\n"
+            "3,781,503 DAGs (about a second); pass --allow-slow to confirm\n"
             ) in err
     assert run_cli("verify", "--oracle-max-n", "7", "--allow-slow") == 2
     err = capsys.readouterr().err
@@ -297,10 +297,11 @@ import sys
 from dagdescents import cli
 from dagdescents.engine import DescentCounter
 packed_rows = DescentCounter._packed_rows
-def bumped(self, n, size, values):
-    rows = packed_rows(self, n, size, values)
-    if n == 6 and len(rows) == 3:  # A, B, Cw
-        rows[0][15] += 1
+def bumped(self, n, size):
+    rows = packed_rows(self, n, size)
+    t, u, a, b, cw = rows
+    if n == 6:
+        a[15] += 1
     return rows
 DescentCounter._packed_rows = bumped
 sys.exit(cli.main(["value", "--n", "9", "--k", "36"]))
@@ -319,15 +320,19 @@ def test_broken_insertion_identity_exits_1():
 def test_negative_cell_exits_1(monkeypatch, capsys):
     # t(5,1) is 942 in truth; 999 drives d(5,5) negative
     packed_rows = DescentCounter._packed_rows
+    bumps = []
 
-    def bumped(self, n, size, values):
-        rows = packed_rows(self, n, size, values)
-        if n == 5 and len(rows) == 2:  # t, u
-            rows[0][1] += 57
+    def bumped(self, n, size):
+        rows = packed_rows(self, n, size)
+        t, u, a, b, cw = rows
+        if n == 5:
+            t[1] += 57
+            bumps.append(n)
         return rows
 
     monkeypatch.setattr(DescentCounter, "_packed_rows", bumped)
     assert run_cli("value", "--n", "6", "--k", "3") == 1
+    assert bumps == [5]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal inconsistency: d(5,5) = -11485\n"

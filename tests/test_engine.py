@@ -298,16 +298,16 @@ def _level_by_row_formula(rows, n):
 
 
 def test_level_rows_are_exact_above_the_true_counts():
-    # a full staged u row near 10^60: the level-6 rows built from it hold
+    # a stored u row near 10^60: the level-6 rows built from it hold
     # cells near 10^61, which slots sized from the true counts would alias
-    staged = DescentCounter()
-    for k in range(11):
-        staged.preload("u", 5, k, 10**60 + k)
-    # t(6,.) reads the staged row, B(6,.) reads t(6,.), and d(6,1) then
+    wrong = DescentCounter()
+    wrong.table(5)
+    wrong._rows["u"][5] = [10**60 + k for k in range(11)]
+    # t(6,.) reads the wrong row, B(6,.) reads t(6,.), and d(6,1) then
     # comes out negative; the five rows before it are stored by then
     with pytest.raises(EngineInconsistency, match=r"d\(6,1\) = -"):
-        staged.table(6)
-    rows = _stored_rows(staged)
+        wrong.table(6)
+    rows = _stored_rows(wrong)
     assert rows["u"][5] == [10**60 + k for k in range(11)]
     expected = _level_by_row_formula(rows, 6)
     assert expected["t"][0] > 10**61
@@ -380,16 +380,16 @@ def test_labeled_dag_total_sequence():
 
 
 # ----------------------------------------------------------------------
-# preload staging
+# preload checks a known value against the computed cell
 
-def test_preload_short_circuits_fill():
+def test_preload_accepts_every_computed_value():
     reference = DescentCounter()
     reference.table(5)
-    warmed = DescentCounter()
+    checked = DescentCounter()
     for family, n, k, value in reference.entries():
-        warmed.preload(family, n, k, value)
-    assert warmed.table(5) == reference.table(5)
-    assert list(warmed.entries()) == list(reference.entries())
+        checked.preload(family, n, k, value)
+    assert checked.table(5) == reference.table(5)
+    assert list(checked.entries()) == list(reference.entries())
 
 
 def test_preload_rejects_structural_nonsense():
@@ -416,32 +416,33 @@ def test_preload_conflicts_with_computed_value():
         c.preload("d", 3, 1, 12)
 
 
-def test_preload_conflicting_staged_values():
+def test_preload_rejects_a_value_past_the_fixture():
+    # d(9,36) is 1: only the graph with every edge x -> y, x > y, has
+    # C(9,2) = 36 descents; n = 9 is past the golden fixture
     c = DescentCounter()
-    c.preload("d", 9, 2, 900)
-    with pytest.raises(ValueError):
-        c.preload("d", 9, 2, 901)
+    with pytest.raises(ValueError, match=r"d\(9,36\) is 1, not 2"):
+        c.preload("d", 9, 36, 2)
+    c.preload("d", 9, 36, 1)
+    assert c.dag_count(9, 36) == 1
 
 
 @pytest.mark.parametrize("family", ["A", "B"])
 @pytest.mark.parametrize("whole_level", [False, True])
-def test_insertion_guard_catches_a_cell_nothing_else_reads(family,
-                                                           whole_level):
-    # A(6,15) and B(6,15) feed no d cell, so raising either by one drives
-    # nothing negative; only the insertion identities can see it
+def test_preload_rejects_a_cell_nothing_else_reads(family, whole_level):
+    # A(6,15) and B(6,15) feed no d cell, so a value one too high there
+    # would drive nothing negative; preload refuses it all the same
     reference = DescentCounter()
     reference.table(6)
-    staged = DescentCounter()
+    checked = DescentCounter()
     for tag, n, k, value in reference.entries():
         if (tag, n, k) == (family, 6, 15):
-            staged.preload(tag, n, k, value + 1)
+            with pytest.raises(ValueError, match=rf"{family}\(6,15\) is "):
+                checked.preload(tag, n, k, value + 1)
         elif whole_level and n == 6:
-            staged.preload(tag, n, k, value)
-    with pytest.raises(EngineInconsistency, match="fails at n=6, k=1[56]$"):
-        staged.table(6)
-    # the failed level is not kept: the next query fills it afresh
-    assert staged.table(6) == reference.table(6)
-    assert list(staged.entries()) == list(reference.entries())
+            checked.preload(tag, n, k, value)
+    # the rejected value is not kept: the counter holds computed cells only
+    assert checked.table(6) == reference.table(6)
+    assert list(checked.entries()) == list(reference.entries())
 
 
 @pytest.mark.parametrize("family", ["A", "B"])
@@ -453,10 +454,11 @@ def test_insertion_guard_catches_a_computed_cell(family, monkeypatch):
     packed_rows = DescentCounter._packed_rows
     bumps = []
 
-    def bumped_once(self, n, size, values):
-        rows = packed_rows(self, n, size, values)
-        if n == 6 and len(rows) == 3 and not bumps:  # A, B, Cw
-            rows["AB".index(family)][15] += 1
+    def bumped_once(self, n, size):
+        rows = packed_rows(self, n, size)
+        t, u, a, b, cw = rows
+        if n == 6 and not bumps:
+            {"A": a, "B": b}[family][15] += 1
             bumps.append(n)
         return rows
 
@@ -464,6 +466,7 @@ def test_insertion_guard_catches_a_computed_cell(family, monkeypatch):
     counter = DescentCounter()
     with pytest.raises(EngineInconsistency, match="fails at n=6, k=1[56]$"):
         counter.table(6)
+    assert bumps == [6]
     # the failed level is not kept: the next query fills it afresh
     assert counter.table(6) == reference.table(6)
     assert list(counter.entries()) == list(reference.entries())
