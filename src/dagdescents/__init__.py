@@ -26,8 +26,7 @@ _EXPORTS = {
     "engine": ("FAMILIES", "DescentCounter", "labeled_dag_total"),
     "golden": ("GOLDEN_COUNTS", "GOLDEN_MAX_N", "GOLDEN_TOTALS",
                "golden_value"),
-    "oracle": ("Dag", "DagStats", "OracleCounts", "enumerate_counts",
-               "is_acyclic", "stats", "subset_pair_histogram"),
+    "oracle": ("OracleCounts", "enumerate_counts", "subset_pair_histogram"),
     "verify": ("series_identity_check",),
 }
 

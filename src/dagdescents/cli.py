@@ -11,8 +11,8 @@ Three subcommands:
 
 Each computes from a cold engine.  Exit codes: 0 success, 1 verification
 mismatch or an internal inconsistency (a filled count came out negative
-or broke an insertion identity), 2 usage error, including a vertex count
-above ``engine.MAX_N``.
+or broke one of the engine's identities), 2 usage error, including a vertex count
+above ``engine.MAX_N``, 130 interrupted (SIGINT).
 """
 from __future__ import annotations
 
@@ -222,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     except EngineInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

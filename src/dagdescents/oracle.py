@@ -4,7 +4,8 @@ This is the brute-force side of the differential test setup: build every
 acyclic digraph on n vertices, one at a time, and tally the same
 statistics the recurrence engine computes.  The two implementations
 share no counting logic, so exact agreement on small n is strong
-evidence for both.
+evidence for both.  The tests hold a third, per-graph reference that
+reads each statistic off one edge set at a time.
 
 Vertices carry labels 1..n.  An edge x -> y with x > y is a descent.
 ``enumerate_counts`` adds the labels in increasing order, so the edges
@@ -14,159 +15,27 @@ reach per out-set is built once per prefix, and the last label's
 in-sets are walked in a tight loop that only asks whether each one
 meets vertex 1's descendants.
 
-``Dag`` is the small per-graph reference that the enumerator is tested
-against.  It encodes an edge set as a bitmask over the n*(n-1) ordered
-pairs (x, y) with x != y, taken in lexicographic order:
+Each finished DAG is tallied under one int signature.  With bit b
+standing for label b+1, its fields are, from the lowest bit up:
 
-    (1,2), (1,3), ..., (1,n), (2,1), (2,3), ..., (n,n-1)
+    bits 0 .. n-1      the labels reachable from 1
+    bit  n             whether n reaches every label
+    bits n+1 .. 2n     the labels m with an edge m -> 1
+    bits 2n+1 and up   the number of descents k
 
-Bit p of the mask is set iff the p-th pair in that order is an edge.
-``Dag`` masks rely on this order, so it must never change.
-
-Enumeration cost is one step per DAG: n=5 has 29,281 DAGs (about 0.01 s)
-and n=6 has 3,781,503 (1.0-1.2 s on a 2-core host, Python 3.11), so n=6
-sits behind an explicit ``allow_slow`` override.  Larger n
-(1,138,779,265 DAGs at n=7) is refused outright.
+Enumeration cost is one step per DAG: n=5 has 29,281 DAGs (10 ms) and
+n=6 has 3,781,503 (0.9 s, quartiles 0.70-0.94 s), measured in fresh
+processes on a 2-core host with Python 3.11.  So n=6 sits behind an
+explicit ``allow_slow`` override.  Larger n (1,138,779,265 DAGs at n=7)
+is refused outright.
 """
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import lru_cache
 from typing import Iterator
 
 MAX_ORACLE_N = 6
-
-
-@lru_cache(maxsize=None)
-def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """All ordered pairs (x, y), x != y, of labels 1..n in mask-bit order."""
-    return tuple((x, y) for x in range(1, n + 1)
-                 for y in range(1, n + 1) if y != x)
-
-
-@lru_cache(maxsize=None)
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {pair: p for p, pair in enumerate(ordered_pairs(n))}
-
-
-class Dag(namedtuple("Dag", "n mask")):
-    """A labeled digraph on vertices 1..n held as an edge bitmask.
-
-    Despite the name, the mask may describe a cyclic graph; only
-    ``stats`` insists on acyclicity.  Self-loops are unrepresentable.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, mask: int) -> "Dag":
-        if n < 1:
-            raise ValueError(f"Dag needs at least one vertex, got n={n}")
-        if not 0 <= mask < 1 << (n * (n - 1)):
-            raise ValueError(f"edge mask out of range for n={n}")
-        return super().__new__(cls, n, mask)
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Dag":
-        index = _pair_index(n)
-        mask = 0
-        for edge in edges:
-            x, y = edge
-            if edge not in index:
-                raise ValueError(f"invalid edge {x}->{y} for n={n}")
-            mask |= 1 << index[edge]
-        return cls(n, mask)
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        pairs = ordered_pairs(self.n)
-        return tuple(pairs[p] for p in range(len(pairs))
-                     if (self.mask >> p) & 1)
-
-
-class DagStats(namedtuple("DagStats", "descents reachable_from_lowest "
-                                      "reachable_from_highest "
-                                      "predecessors_of_lowest")):
-    """Per-graph statistics over an acyclic digraph.
-
-    ``reachable_from_lowest`` / ``reachable_from_highest`` are the label
-    sets reachable from vertex 1 / vertex n (every vertex reaches
-    itself).  ``predecessors_of_lowest`` holds the labels m with an edge
-    m -> 1; every such edge is a descent, since m > 1.
-    """
-
-    __slots__ = ()
-
-    @property
-    def descents_into_lowest(self) -> int:
-        return len(self.predecessors_of_lowest)
-
-
-def _adjacency(g: Dag) -> list[int]:
-    """Out-neighbourhoods as vertex bitsets (bit v = label v+1)."""
-    adj = [0] * g.n
-    for x, y in g.edges():
-        adj[x - 1] |= 1 << (y - 1)
-    return adj
-
-
-def is_acyclic(g: Dag) -> bool:
-    """True iff the edge set admits a topological order.
-
-    Iteratively strips vertices of in-degree zero; the graph is acyclic
-    exactly when everything can be stripped.
-    """
-    preds = [0] * g.n
-    for x, y in g.edges():
-        preds[y - 1] |= 1 << (x - 1)
-    remaining = (1 << g.n) - 1
-    while remaining:
-        sources = 0
-        pending = remaining
-        while pending:
-            low = pending & -pending
-            if preds[low.bit_length() - 1] & remaining == 0:
-                sources |= low
-            pending ^= low
-        if sources == 0:
-            return False
-        remaining ^= sources
-    return True
-
-
-def _reachable(adj: list[int], start_bit: int) -> int:
-    """Bitset of vertices reachable from the vertex bit, reflexively."""
-    seen = start_bit
-    frontier = start_bit
-    while frontier:
-        nxt = 0
-        pending = frontier
-        while pending:
-            low = pending & -pending
-            nxt |= adj[low.bit_length() - 1]
-            pending ^= low
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
-def _labels(bits: int) -> frozenset[int]:
-    return frozenset(v + 1 for v in range(bits.bit_length())
-                     if (bits >> v) & 1)
-
-
-def stats(g: Dag) -> DagStats:
-    """Statistics bundle for an acyclic ``g``; rejects cyclic input."""
-    if not is_acyclic(g):
-        raise ValueError("graph has a directed cycle")
-    edges = g.edges()
-    adj = _adjacency(g)
-    return DagStats(
-        descents=sum(1 for x, y in edges if x > y),
-        reachable_from_lowest=_labels(_reachable(adj, 1)),
-        reachable_from_highest=_labels(_reachable(adj, 1 << (g.n - 1))),
-        predecessors_of_lowest=frozenset(x for x, y in edges if y == 1),
-    )
 
 
 class OracleCounts(namedtuple("OracleCounts", (
@@ -269,16 +138,17 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
     holds v's reach for every out-set O at once, built by doubling over
     the earlier labels' descendant sets.
 
-    Each finished DAG is tallied once by its signature (descents, the
-    labels m with an edge m -> 1, the labels reachable from 1, whether n
-    reaches everything); the signatures are expanded into the tables at
-    the end.  For the last label only the labels reachable from 1 still
-    depend on I: they gain n's reach exactly when I meets the
-    descendants of 1.  So its in-sets are walked inline, each adding 1
-    to a hit or a miss counter, and the two counters are tallied once
-    per (prefix, O).
+    Each finished DAG is tallied once by its int signature (module
+    docstring); the signatures are expanded into the tables at the end.
+    A prefix carries the descent and edge-into-1 fields of its
+    signature, and ``steps[v][O]`` adds O's share (|O| descents, and
+    v's bit if 1 is in O), built once per n.  For the last label only
+    the labels reachable from 1 still depend on I: they gain n's reach
+    exactly when I meets the descendants of 1.  So its in-sets are
+    walked inline, each adding 1 to a hit or a miss counter, and the two
+    counters are tallied once per (prefix, O).
 
-    n = 6 visits 3,781,503 DAGs (1.0-1.2 s on a 2-core host) and
+    n = 6 visits 3,781,503 DAGs (0.7-0.94 s on a 2-core host) and
     therefore requires ``allow_slow=True``; n > 6 is refused.
     """
     if n < 1:
@@ -293,9 +163,13 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
             "pass allow_slow=True to run it anyway")
 
     full = (1 << n) - 1
-    tally: dict[tuple[int, int, int, bool], int] = {}
+    into_shift = n + 1
+    k_shift = 2 * n + 1
+    steps = [[out.bit_count() << k_shift | (out & 1) << (into_shift + v)
+              for out in range(1 << v)] for v in range(n)]
+    tally: dict[int, int] = {}
 
-    def extend(desc: list[int], k: int, into_lowest: int) -> None:
+    def extend(desc: list[int], signature: int) -> None:
         # desc[u]: reflexive descendants of label u+1 (bit b = label b+1)
         v = len(desc)
         bit = 1 << v
@@ -305,18 +179,17 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
         for d in desc:
             reaches += [r | d for r in reaches]
         if v < n - 1:
-            for out, reach in enumerate(reaches):
-                k_out = k + out.bit_count()
-                into_out = into_lowest | bit if out & 1 else into_lowest
+            for reach, step in zip(reaches, steps[v]):
                 for in_set in _subsets(below & ~reach):
                     grown = [d | reach if d & in_set else d for d in desc]
                     grown.append(reach)
-                    extend(grown, k_out, into_out)
+                    extend(grown, signature + step)
             return
         # Last label: only vertex 1's final reach varies with I, so each
         # in-set either hits vertex 1's descendants or misses them.
         lowest = desc[0] if desc else bit
-        for out, reach in enumerate(reaches):
+        spans_high = 1 << n
+        for reach, step in zip(reaches, steps[v]):
             free = below & ~reach
             hits, misses = 0, 1  # the empty in-set misses
             in_set = free
@@ -326,23 +199,25 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
                 else:
                     misses += 1
                 in_set = (in_set - 1) & free
-            k_out = k + out.bit_count()
-            into_out = into_lowest | bit if out & 1 else into_lowest
-            spans_high = reach == full
-            key = (k_out, into_out, lowest, spans_high)
+            key = signature + step + lowest
+            if reach == full:
+                key += spans_high
             tally[key] = tally.get(key, 0) + misses
             if hits:
-                key = (k_out, into_out, lowest | reach, spans_high)
+                key |= reach
                 tally[key] = tally.get(key, 0) + hits
 
-    extend([], 0, 0)
+    extend([], 0)
 
     counts = OracleCounts.zeros(n)
-    for (k, into_lowest, lowest, spans_high), count in tally.items():
+    for key, count in tally.items():
+        k = key >> k_shift
+        into_lowest = key >> into_shift & full
+        lowest = key & full
         counts.by_descents[k] += count
         if lowest == full:
             counts.spanning_from_lowest[k] += count
-        if spans_high:
+        if key >> n & 1:
             counts.spanning_from_highest[k] += count
         counts.lowest_indegree[k][into_lowest.bit_count()] += count
         for m in range(2, n + 1):
@@ -358,16 +233,16 @@ def subset_pair_histogram(n: int, j: int) -> list[int]:
     (x, y) with x in X, y outside X, and x < y.
 
     Index i of the result counts the subsets producing exactly i such
-    pairs; the list has length j*(n-j) + 1.  This brute-force histogram
-    is the independent check that the Gaussian binomial coefficients
-    count what they are supposed to.
+    pairs; the list has length j*(n-j) + 1.  Each x in X has n - x labels
+    above it, and C(j,2) of those pairs stay inside X, so X has
+    j*n - sum(X) - C(j,2) such pairs.  This brute-force histogram is the
+    independent check that the Gaussian binomial coefficients count what
+    they are supposed to.
     """
     if n < 0 or not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
     hist = [0] * (j * (n - j) + 1)
-    for subset in itertools.combinations(range(1, n + 1), j):
-        members = set(subset)
-        pairs = sum(1 for x in subset
-                    for y in range(x + 1, n + 1) if y not in members)
-        hist[pairs] += 1
+    most = j * n - j * (j - 1) // 2
+    for total in map(sum, itertools.combinations(range(1, n + 1), j)):
+        hist[most - total] += 1
     return hist

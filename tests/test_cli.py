@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,16 +21,22 @@ def run_cli(*argv):
         return exc.code
 
 
-def run_python(*args, **env_vars):
-    """Run a fresh interpreter on the package's sources, with ``env_vars``
-    added to its environment, so that import side effects and any
-    uncaught traceback can be seen."""
+def python_env(**env_vars):
+    """This process's environment plus ``env_vars``, with the package's
+    sources first on PYTHONPATH."""
     env = dict(os.environ, **env_vars)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(*args, **env_vars):
+    """Run a fresh interpreter on the package's sources, with ``env_vars``
+    added to its environment, so that import side effects and any
+    uncaught traceback can be seen."""
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=python_env(**env_vars), timeout=60)
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +323,24 @@ def test_broken_insertion_identity_exits_1():
     assert result.stderr == (
         "error: internal inconsistency: (n-1) d(n,k-1) = A(n,k-1) "
         "+ B(n,k-1) + A(n,k) fails at n=6, k=15\n")
+
+
+def test_sigint_during_a_fill_exits_130():
+    # value --n 36 fills for several seconds, so the signal lands mid-fill
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dagdescents", "value", "--n", "36",
+         "--k", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=python_env())
+    try:
+        time.sleep(1)
+        child.send_signal(signal.SIGINT)
+        stdout, stderr = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, stdout, stderr) == (
+        130, "", "error: interrupted\n")
 
 
 def test_negative_cell_exits_1(monkeypatch, capsys):

@@ -472,6 +472,32 @@ def test_insertion_guard_catches_a_computed_cell(family, monkeypatch):
     assert list(counter.entries()) == list(reference.entries())
 
 
+def test_row_sum_guard_catches_every_computed_u_cell(monkeypatch):
+    # u(8,k) feeds no other row of level 8, so only the u/t row-sum
+    # identity can see a +1 there; every one of the 29 cells must raise
+    packed_rows = DescentCounter._packed_rows
+    target = [0]
+
+    def bumped(self, n, size):
+        rows = packed_rows(self, n, size)
+        t, u, a, b, cw = rows
+        if n == 8:
+            u[target[0]] += 1
+        return rows
+
+    monkeypatch.setattr(DescentCounter, "_packed_rows", bumped)
+    caught = []
+    for k in range(29):
+        target[0] = k
+        try:
+            DescentCounter().table(8)
+        except EngineInconsistency as exc:
+            assert str(exc).endswith("sum_k u(n,k) = sum_k t(n,k) fails "
+                                     "at n=8")
+            caught.append(k)
+    assert caught == list(range(29))
+
+
 def test_random_spot_checks_are_stable():
     # belt and braces: a handful of deep cells recomputed twice
     rng = random.Random(20240817)

@@ -28,3 +28,14 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         dagdescents.no_such_name
     assert not hasattr(dagdescents, "no_such_name")
+
+
+@pytest.mark.parametrize("name", ["Dag", "DagStats", "is_acyclic", "stats",
+                                  "ordered_pairs"])
+def test_per_graph_reference_is_not_package_api(name):
+    # the enumerator's per-graph reference lives in tests/dag_reference.py
+    import dagdescents.oracle
+
+    assert name not in dagdescents.__all__
+    assert not hasattr(dagdescents, name)
+    assert not hasattr(dagdescents.oracle, name)

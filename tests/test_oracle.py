@@ -1,15 +1,13 @@
+import itertools
+
 import pytest
 
+from dag_reference import Dag, DagStats, is_acyclic, ordered_pairs, stats
 from dagdescents.engine import labeled_dag_total
 from dagdescents.combinatorics import gaussian_coefficient
 from dagdescents.oracle import (
-    Dag,
-    DagStats,
     OracleCounts,
     enumerate_counts,
-    is_acyclic,
-    ordered_pairs,
-    stats,
     subset_pair_histogram,
 )
 
@@ -246,3 +244,20 @@ def test_subset_pair_histogram_matches_gaussian_coefficients():
             hist = subset_pair_histogram(n, j)
             assert hist == [gaussian_coefficient(n, j, i)
                             for i in range(j * (n - j) + 1)], (n, j)
+
+
+def _literal_pair_histogram(n, j):
+    """The same histogram with every pair (x, y) counted one at a time."""
+    hist = [0] * (j * (n - j) + 1)
+    for subset in itertools.combinations(range(1, n + 1), j):
+        members = set(subset)
+        pairs = sum(1 for x in subset
+                    for y in range(x + 1, n + 1) if y not in members)
+        hist[pairs] += 1
+    return hist
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_subset_pair_histogram_matches_literal_pair_count(n):
+    for j in range(n + 1):
+        assert subset_pair_histogram(n, j) == _literal_pair_histogram(n, j), j
