@@ -91,8 +91,9 @@ def apply_records(counter: DescentCounter,
 
     Every d record inside the golden fixture's range is compared against
     the fixture first, so nothing is filled if any record disagrees with
-    known-good values.  ``counter.preload`` then checks each record by a
-    fill to its level: one at n = 40 costs a fill to 40 (17-28 s).
+    known-good values.  Each record is then compared with
+    ``counter.cell``, which fills to the record's level: one at n = 40
+    costs a fill to 40 (17-28 s).  Nothing read is stored.
     """
     for family, n, k, value in records:
         if family != "d":
@@ -104,7 +105,10 @@ def apply_records(counter: DescentCounter,
                              f"cache has {value}")
     for family, n, k, value in records:
         try:
-            counter.preload(family, n, k, value)
+            computed = counter.cell(family, n, k)
+            if value != computed:
+                raise ValueError(f"{family}({n},{k}) is {computed}, "
+                                 f"not {value}")
         except ValueError as exc:
             raise CacheError(f"rejected cache entry "
                              f"{family} {n} {k} {value}: {exc}") from exc

@@ -43,15 +43,19 @@ have the same sum:
 
     (iii) sum_k u(n,k) = sum_k t(n,k)
 
-All three are checked on every level once it fills, so a wrong cell
-raises ``EngineInconsistency`` instead of reaching an answer.  A wrong
-t, A, B or Cw cell of the level breaks (i) or (ii) there (t through B's
-j = n split); a wrong u cell feeds no other row of its level and breaks
-(iii).  A wrong stored d, t or u cell also breaks a later level's
-identities.  Measured by adding 1 to one cell at a time: each of the 29
-t, u, A, B and Cw cells of level 8 raises at level 8.  Errors that
-cancel in u's sum, such as two swapped u cells, pass (iii); only an
-independent per-cell reference catches those.
+All three are checked on every level once it fills, and no row of the
+level is stored before they pass, so a wrong cell raises
+``EngineInconsistency`` instead of reaching an answer or ``entries()``.
+A wrong t, A, B or Cw cell of the level shifts its d row (t through B's
+j = n split) until a d cell goes negative or (i) or (ii) fails; a wrong
+u cell feeds no other row of its level and breaks (iii).  A wrong stored
+d, t or u cell breaks the next level's identities; stored A, B and Cw
+rows feed no later level, so nothing sees them once their level passed.
+Measured by adding 1 to one cell at a time: each of the 29 t, u, A, B
+and Cw cells of level 8 raises at level 8, and each of the 16 stored d,
+t and u cells of level 6 raises at level 7, but none of the stored A, B
+or Cw cells does.  Errors that cancel in u's sum, such as two swapped u
+cells, pass (iii); only an independent per-cell reference catches those.
 
 The five other families are built a whole row at a time.  Each splits
 the vertices into a set X of j vertices closed under reachability from
@@ -114,7 +118,8 @@ from .combinatorics import (
     pow2,
 )
 
-#: Family tags, also used as the on-disk cache vocabulary.
+#: Family tags: the first argument of ``DescentCounter.cell``, and the
+#: on-disk cache vocabulary.
 FAMILIES = ("d", "t", "u", "A", "B", "Cw")
 
 #: Largest vertex count the CLI and the cache accept.  Provisional: a
@@ -148,39 +153,22 @@ class DescentCounter:
 
     def dag_count(self, n: int, k: int) -> int:
         """Number of labeled acyclic digraphs on n vertices with k descents."""
-        self._validate(n, k, smallest_n=0)
-        self._ensure(n)
-        return self._lookup("d", n, k)
+        return self.cell("d", n, k)
 
-    def spanning_from_lowest(self, n: int, k: int) -> int:
-        """Count of such digraphs where every vertex is reachable from 1."""
-        self._validate(n, k, smallest_n=1)
+    def cell(self, family: str, n: int, k: int) -> int:
+        """Cell (n, k) of the family tagged ``family``, one of ``FAMILIES``
+        (module docstring); 0 past k = C(n,2).  d starts at n = 0, the
+        other families at n = 1.  Fills to level n first."""
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        smallest_n = 0 if family == "d" else 1
+        if n < smallest_n:
+            raise ValueError(f"n must be at least {smallest_n}, got {n}")
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got {k}")
         self._ensure(n)
-        return self._lookup("t", n, k)
-
-    def spanning_from_highest(self, n: int, k: int) -> int:
-        """Count of such digraphs where every vertex is reachable from n."""
-        self._validate(n, k, smallest_n=1)
-        self._ensure(n)
-        return self._lookup("u", n, k)
-
-    def descent_incidences_into_lowest(self, n: int, k: int) -> int:
-        """Number of (graph, edge m->1) pairs over graphs with k descents."""
-        self._validate(n, k, smallest_n=1)
-        self._ensure(n)
-        return self._lookup("A", n, k)
-
-    def reachability_incidences_from_lowest(self, n: int, k: int) -> int:
-        """Number of (graph, vertex m>=2 reachable from 1) pairs."""
-        self._validate(n, k, smallest_n=1)
-        self._ensure(n)
-        return self._lookup("B", n, k)
-
-    def lowest_indegree_overcount(self, n: int, k: int) -> int:
-        """Sum of (m-1) * #graphs with exactly m edges into vertex 1, m >= 2."""
-        self._validate(n, k, smallest_n=1)
-        self._ensure(n)
-        return self._lookup("Cw", n, k)
+        row = self._rows[family][n]
+        return row[k] if k < len(row) else 0
 
     def table(self, n_max: int) -> list[list[int]]:
         """Rows [d(n,0), ..., d(n,C(n,2))] for n = 1..n_max."""
@@ -196,46 +184,16 @@ class DescentCounter:
         self._ensure(n)
         return sum(self._rows["d"][n])
 
-    # ------------------------------------------------------------------
-    # memo persistence hooks (used by the cache file layer)
-
     def entries(self) -> Iterator[tuple[str, int, int, int]]:
-        """All memoized values as (family, n, k, value), deterministic order."""
+        """All memoized values as (family, n, k, value), deterministic order;
+        the cache file layer writes these."""
         for tag in FAMILIES:
             for n in sorted(self._rows[tag]):
                 for k, value in enumerate(self._rows[tag][n]):
                     yield tag, n, k, value
 
-    def preload(self, family: str, n: int, k: int, value: int) -> None:
-        """Check a known value against the computed cell.
-
-        Fills to level n and raises ValueError unless ``value`` equals
-        the cell; a cell past k = C(n,2) is 0.  Nothing is stored, so
-        every value the counter holds is one it computed.
-        """
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        self._validate(n, k, smallest_n=0 if family == "d" else 1)
-        self._ensure(n)
-        computed = self._lookup(family, n, k)
-        if value != computed:
-            raise ValueError(f"{family}({n},{k}) is {computed}, not {value}")
-
     # ------------------------------------------------------------------
     # internals
-
-    @staticmethod
-    def _validate(n: int, k: int, smallest_n: int) -> None:
-        if n < smallest_n:
-            raise ValueError(f"n must be at least {smallest_n}, got {n}")
-        if k < 0:
-            raise ValueError(f"k must be nonnegative, got {k}")
-
-    def _lookup(self, family: str, n: int, k: int) -> int:
-        row = self._rows[family].get(n)
-        if row is None:  # t/u/... at n=0 have no row; only d(0,*) is queried
-            raise ValueError(f"family {family} starts at n=1")
-        return row[k] if k < len(row) else 0
 
     def _ensure(self, n: int) -> None:
         done = self._rows["d"]
@@ -249,8 +207,6 @@ class DescentCounter:
         t_row, u_row, a_row, b_row, cw_row = rows
         for k, value in enumerate(t_row):  # B's j = n split
             b_row[k] += (n - 1) * value
-        for tag, row in zip(FAMILIES[1:], rows):
-            self._rows[tag][n] = row
 
         d_prev = self._rows["d"][n - 1]
         d_row = [pow2(size - 1)] + [0] * (size - 1)  # 2^C(n,2) at k = 0
@@ -265,9 +221,9 @@ class DescentCounter:
             d_row[k] = value
 
         # The insertion identities (module docstring) on the whole level;
-        # a cell past the end of a row is 0.  The level counts as filled
-        # only once its d row is stored, so a level that fails is filled
-        # afresh next time.
+        # a cell past the end of a row is 0.  No row of the level is
+        # stored until all three identities pass, so a level that fails
+        # leaves nothing behind and is filled afresh next time.
         a, b, cw, d, d_prev = (
             row + [0] * (size + 1 - len(row))
             for row in (a_row, b_row, cw_row, d_row, d_prev))
@@ -284,7 +240,8 @@ class DescentCounter:
             raise EngineInconsistency(
                 "internal inconsistency: sum_k u(n,k) = sum_k t(n,k) "
                 f"fails at n={n}")
-        self._rows["d"][n] = d_row
+        for tag, row in zip(FAMILIES, [d_row, *rows]):
+            self._rows[tag][n] = row
 
     def _packed_rows(self, n: int, size: int) -> list[list[int]]:
         """Level-n rows t, u, A, B and Cw, B without its j = n split, from

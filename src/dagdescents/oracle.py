@@ -101,18 +101,24 @@ class OracleCounts(namedtuple("OracleCounts", (
     def total(self) -> int:
         return sum(self.by_descents)
 
-    def descent_incidences_into_lowest(self, k: int) -> int:
-        """Number of (graph, edge m->1) pairs among graphs with k descents."""
-        return sum(self.edge_into_lowest[k][2:])
-
-    def reachability_incidences_from_lowest(self, k: int) -> int:
-        """Number of (graph, vertex m reachable from 1) pairs, m >= 2."""
-        return sum(self.vertex_reachable_from_lowest[k][2:])
-
-    def lowest_indegree_overcount(self, k: int) -> int:
-        """Sum of (m-1) * #graphs with exactly m edges into vertex 1, m >= 2."""
-        return sum((m - 1) * c
-                   for m, c in enumerate(self.lowest_indegree[k]) if m >= 2)
+    def cell(self, family: str, k: int) -> int:
+        """Cell (n, k) of the engine's family tagged ``family``: d, t, u,
+        A (edges m -> 1), B (vertices m >= 2 reachable from 1) or Cw
+        (m - 1 per graph with m >= 2 edges into 1)."""
+        if family == "d":
+            return self.by_descents[k]
+        if family == "t":
+            return self.spanning_from_lowest[k]
+        if family == "u":
+            return self.spanning_from_highest[k]
+        if family == "A":
+            return sum(self.edge_into_lowest[k][2:])
+        if family == "B":
+            return sum(self.vertex_reachable_from_lowest[k][2:])
+        if family == "Cw":
+            return sum((m - 1) * c
+                       for m, c in enumerate(self.lowest_indegree[k]) if m > 1)
+        raise ValueError(f"unknown family {family!r}")
 
 
 def _subsets(bits: int) -> Iterator[int]:

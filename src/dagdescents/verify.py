@@ -12,7 +12,7 @@ import argparse
 import math
 
 from .combinatorics import gaussian_coefficient
-from .engine import DescentCounter, labeled_dag_total
+from .engine import FAMILIES, DescentCounter, labeled_dag_total
 from .golden import GOLDEN_COUNTS, GOLDEN_MAX_N
 
 
@@ -96,23 +96,10 @@ def _check_oracle(counter: DescentCounter,
 
     for n in range(1, args.oracle_max_n + 1):
         counts = enumerate_counts(n, allow_slow=args.allow_slow)
-        per_family = (
-            ("d", counter.dag_count, counts.by_descents.__getitem__),
-            ("t", counter.spanning_from_lowest,
-             counts.spanning_from_lowest.__getitem__),
-            ("u", counter.spanning_from_highest,
-             counts.spanning_from_highest.__getitem__),
-            ("A", counter.descent_incidences_into_lowest,
-             counts.descent_incidences_into_lowest),
-            ("B", counter.reachability_incidences_from_lowest,
-             counts.reachability_incidences_from_lowest),
-            ("Cw", counter.lowest_indegree_overcount,
-             counts.lowest_indegree_overcount),
-        )
         for k in range(n * (n - 1) // 2 + 1):
-            for family, engine_side, oracle_side in per_family:
-                expected = oracle_side(k)
-                actual = engine_side(n, k)
+            for family in FAMILIES:
+                expected = counts.cell(family, k)
+                actual = counter.cell(family, n, k)
                 if actual != expected:
                     return (f"{family} {n} {k} "
                             f"expected {expected} actual {actual}")

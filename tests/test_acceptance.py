@@ -18,7 +18,7 @@ from dagdescents.combinatorics import (
     pow2,
     two_factorial,
 )
-from dagdescents.engine import DescentCounter, labeled_dag_total
+from dagdescents.engine import FAMILIES, DescentCounter, labeled_dag_total
 from dagdescents.golden import GOLDEN_COUNTS, GOLDEN_TOTALS
 from dagdescents.oracle import enumerate_counts, subset_pair_histogram
 from dagdescents.verify import series_identity_check
@@ -59,18 +59,9 @@ def test_criterion_3_oracle_differential():
         counts = enumerate_counts(n, allow_slow=True)
         top = math.comb(n, 2)
         for k in range(top + 1):
-            assert counter.dag_count(n, k) == counts.by_descents[k], \
-                f"d {n} {k}"
-            assert counter.spanning_from_lowest(n, k) == \
-                counts.spanning_from_lowest[k], f"t {n} {k}"
-            assert counter.spanning_from_highest(n, k) == \
-                counts.spanning_from_highest[k], f"u {n} {k}"
-            assert counter.descent_incidences_into_lowest(n, k) == \
-                counts.descent_incidences_into_lowest(k), f"A {n} {k}"
-            assert counter.reachability_incidences_from_lowest(n, k) == \
-                counts.reachability_incidences_from_lowest(k), f"B {n} {k}"
-            assert counter.lowest_indegree_overcount(n, k) == \
-                counts.lowest_indegree_overcount(k), f"Cw {n} {k}"
+            for family in FAMILIES:
+                assert counter.cell(family, n, k) == counts.cell(family, k), \
+                    f"{family} {n} {k}"
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0, f"differential run took {elapsed:.1f}s"
     print(f"PASS criterion 3: six families equal exhaustive counts, "
@@ -131,8 +122,8 @@ def test_criterion_7_structural_invariants():
         assert counter.dag_count(n, top) == 1
         for k in range(top + 1, top + 4):
             assert counter.dag_count(n, k) == 0
-        assert counter.spanning_from_lowest(n, 0) == two_factorial(n - 1)
-        assert counter.spanning_from_highest(n, 0) == (1 if n == 1 else 0)
+        assert counter.cell("t", n, 0) == two_factorial(n - 1)
+        assert counter.cell("u", n, 0) == (1 if n == 1 else 0)
     print("PASS criterion 7: structural invariants hold for n<=8")
 
 

@@ -130,13 +130,13 @@ def test_duplicate_key(tmp_path):
 
 def test_fixture_conflict_blocks_all_preloading(tmp_path):
     path = tmp_path / "evil.cache"
-    # wrong value last: the conflict scan must run before any preload
+    # wrong value last: the conflict scan must run before any fill
     path.write_text(f"{HEADER}\nt 2 0 1\nd 3 1 12\n")
     counter = DescentCounter()
     with pytest.raises(CacheError) as excinfo:
         apply_records(counter, load_records(path))
     assert "d 3 1 expected 11, cache has 12" in str(excinfo.value)
-    # nothing was preloaded: only the constructor's base entry remains
+    # nothing was filled: only the constructor's base entry remains
     assert list(counter.entries()) == list(DescentCounter().entries())
 
 
@@ -176,6 +176,49 @@ def test_wrong_record_beyond_fixture_range(tmp_path):
         apply_records(DescentCounter(), load_records(path))
     assert str(excinfo.value) == ("rejected cache entry d 9 36 2: "
                                   "d(9,36) is 1, not 2")
+
+
+def test_apply_records_conflicts_with_computed_value():
+    c = DescentCounter()
+    c.dag_count(3, 1)  # materializes row 3
+    apply_records(c, [("t", 3, 1, 2)])  # matching value is a no-op
+    for value in (3, -5):
+        with pytest.raises(CacheError) as excinfo:
+            apply_records(c, [("t", 3, 1, value)])
+        assert str(excinfo.value) == (f"rejected cache entry t 3 1 {value}: "
+                                      f"t(3,1) is 2, not {value}")
+    with pytest.raises(CacheError) as excinfo:
+        apply_records(c, [("t", 0, 0, 1)])  # only d is defined at n=0
+    assert str(excinfo.value) == ("rejected cache entry t 0 0 1: "
+                                  "n must be at least 1, got 0")
+
+
+def test_apply_records_rejects_a_value_past_the_fixture():
+    # the record list itself, no file: d(9,36) is 1, and n = 9 is past
+    # the fixture, so the comparison with the filled cell refutes it
+    c = DescentCounter()
+    with pytest.raises(CacheError, match=r"d\(9,36\) is 1, not 2$"):
+        apply_records(c, [("d", 9, 36, 2)])
+    apply_records(c, [("d", 9, 36, 1)])
+    assert c.cell("d", 9, 36) == 1
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("whole_level", [False, True])
+def test_apply_records_rejects_a_cell_nothing_else_reads(family, whole_level):
+    # A(6,15) and B(6,15) feed no d cell, so a value one too high there
+    # would drive nothing negative; apply_records refuses it all the same
+    reference = _filled(6)
+    checked = DescentCounter()
+    for tag, n, k, value in reference.entries():
+        if (tag, n, k) == (family, 6, 15):
+            with pytest.raises(CacheError, match=rf"{family}\(6,15\) is "):
+                apply_records(checked, [(tag, n, k, value + 1)])
+        elif whole_level and n == 6:
+            apply_records(checked, [(tag, n, k, value)])
+    # the rejected value is not kept: the counter holds computed cells only
+    assert checked.table(6) == reference.table(6)
+    assert list(checked.entries()) == list(reference.entries())
 
 
 def test_load_rejects_n_above_ceiling(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dagdescents import engine, verify
 from dagdescents.combinatorics import gaussian_coefficient, pow2, two_factorial
 from dagdescents.engine import (
+    FAMILIES,
     DescentCounter,
     EngineInconsistency,
     labeled_dag_total,
@@ -37,32 +39,32 @@ def test_fixture_spot_values(counter):
 
 def test_small_values_match_exhaustive_counts(counter):
     assert counter.dag_count(2, 1) == 1
-    assert counter.spanning_from_lowest(3, 1) == 2
-    assert counter.spanning_from_highest(2, 1) == 1
-    assert counter.descent_incidences_into_lowest(2, 1) == 1
-    assert counter.descent_incidences_into_lowest(3, 1) == 7
-    assert counter.reachability_incidences_from_lowest(2, 0) == 1
-    assert counter.reachability_incidences_from_lowest(3, 0) == 9
-    assert counter.lowest_indegree_overcount(3, 2) == 2
+    assert counter.cell("t", 3, 1) == 2
+    assert counter.cell("u", 2, 1) == 1
+    assert counter.cell("A", 2, 1) == 1
+    assert counter.cell("A", 3, 1) == 7
+    assert counter.cell("B", 2, 0) == 1
+    assert counter.cell("B", 3, 0) == 9
+    assert counter.cell("Cw", 3, 2) == 2
 
 
 def test_base_cases(counter):
     assert counter.dag_count(0, 0) == 1
     assert counter.dag_count(0, 3) == 0
-    assert counter.spanning_from_lowest(4, 0) == 21
-    assert counter.spanning_from_lowest(1, 3) == 0
-    assert counter.spanning_from_highest(1, 0) == 1
-    assert counter.spanning_from_highest(3, 0) == 0
+    assert counter.cell("t", 4, 0) == 21
+    assert counter.cell("t", 1, 3) == 0
+    assert counter.cell("u", 1, 0) == 1
+    assert counter.cell("u", 3, 0) == 0
 
 
 def test_incidence_sums_vanish_where_impossible(counter):
     for n in range(1, 7):
-        assert counter.descent_incidences_into_lowest(n, 0) == 0
-        assert counter.lowest_indegree_overcount(n, 0) == 0
-        assert counter.lowest_indegree_overcount(n, 1) == 0
+        assert counter.cell("A", n, 0) == 0
+        assert counter.cell("Cw", n, 0) == 0
+        assert counter.cell("Cw", n, 1) == 0
     for k in range(5):
-        assert counter.reachability_incidences_from_lowest(1, k) == 0
-        assert counter.lowest_indegree_overcount(2, k + 2) == 0
+        assert counter.cell("B", 1, k) == 0
+        assert counter.cell("Cw", 2, k + 2) == 0
 
 
 def test_full_table_matches_fixture(counter):
@@ -86,12 +88,12 @@ def test_structural_invariants(counter):
         assert counter.dag_count(n, top) == 1
         assert counter.dag_count(n, top + 1) == 0
         assert counter.dag_count(n, top + 17) == 0
-        assert counter.spanning_from_lowest(n, 0) == two_factorial(n - 1)
-        assert counter.spanning_from_highest(n, 0) == (1 if n == 1 else 0)
+        assert counter.cell("t", n, 0) == two_factorial(n - 1)
+        assert counter.cell("u", n, 0) == (1 if n == 1 else 0)
         for k in range(top + 1):
             d = counter.dag_count(n, k)
-            assert counter.spanning_from_lowest(n, k) <= d
-            assert counter.spanning_from_highest(n, k) <= d
+            assert counter.cell("t", n, k) <= d
+            assert counter.cell("u", n, k) <= d
 
 
 # ----------------------------------------------------------------------
@@ -225,16 +227,11 @@ def test_six_families_match_source_sets_through_16():
     sums; B and Cw against the identities above, which tie them to those
     independently summed d and A rows."""
     reference = _six_families_by_source_sets(16)
-    engine = DescentCounter()
-    engine.table(16)
-    lookup = {"d": engine.dag_count, "t": engine.spanning_from_lowest,
-              "u": engine.spanning_from_highest,
-              "A": engine.descent_incidences_into_lowest,
-              "B": engine.reachability_incidences_from_lowest,
-              "Cw": engine.lowest_indegree_overcount}
+    counter = DescentCounter()
+    counter.table(16)
     for family, rows in reference.items():
         for n, row in rows.items():
-            actual = [lookup[family](n, k) for k in range(len(row))]
+            actual = [counter.cell(family, n, k) for k in range(len(row))]
             assert actual == row, f"{family} row {n}"
 
 
@@ -304,15 +301,19 @@ def test_level_rows_are_exact_above_the_true_counts():
     wrong.table(5)
     wrong._rows["u"][5] = [10**60 + k for k in range(11)]
     # t(6,.) reads the wrong row, B(6,.) reads t(6,.), and d(6,1) then
-    # comes out negative; the five rows before it are stored by then
+    # comes out negative, so no row of level 6 is stored
     with pytest.raises(EngineInconsistency, match=r"d\(6,1\) = -"):
         wrong.table(6)
     rows = _stored_rows(wrong)
     assert rows["u"][5] == [10**60 + k for k in range(11)]
+    assert all(6 not in by_n for by_n in rows.values())
+    # the level's rows as the kernel builds them, with B's j = n split
+    level = dict(zip(FAMILIES[1:], wrong._packed_rows(6, 16)))
+    level["B"] = [b + 5 * t for b, t in zip(level["B"], level["t"])]
+    rows["t"][6] = level["t"]
     expected = _level_by_row_formula(rows, 6)
     assert expected["t"][0] > 10**61
-    for tag, row in expected.items():
-        assert rows[tag].get(6) == row, f"{tag} row 6"
+    assert level == expected
 
 
 # ----------------------------------------------------------------------
@@ -346,9 +347,9 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         c.dag_count(2, -1)
     with pytest.raises(ValueError):
-        c.spanning_from_lowest(0, 0)
+        c.cell("t", 0, 0)
     with pytest.raises(ValueError):
-        c.spanning_from_highest(0, 2)
+        c.cell("u", 0, 2)
     with pytest.raises(ValueError):
         c.table(0)
     with pytest.raises(ValueError):
@@ -380,69 +381,32 @@ def test_labeled_dag_total_sequence():
 
 
 # ----------------------------------------------------------------------
-# preload checks a known value against the computed cell
+# cell reads any family by its tag (cache.apply_records checks values
+# against it; see test_cache)
 
-def test_preload_accepts_every_computed_value():
+def test_cell_returns_every_stored_value():
     reference = DescentCounter()
     reference.table(5)
     checked = DescentCounter()
     for family, n, k, value in reference.entries():
-        checked.preload(family, n, k, value)
+        assert checked.cell(family, n, k) == value
     assert checked.table(5) == reference.table(5)
     assert list(checked.entries()) == list(reference.entries())
 
 
-def test_preload_rejects_structural_nonsense():
+def test_cell_rejects_structural_nonsense():
     c = DescentCounter()
-    with pytest.raises(ValueError):
-        c.preload("x", 3, 1, 11)
-    with pytest.raises(ValueError):
-        c.preload("d", -1, 0, 1)
-    with pytest.raises(ValueError):
-        c.preload("d", 3, 1, -5)
-    with pytest.raises(ValueError):
-        c.preload("t", 0, 0, 1)  # only d is defined at n=0
-    with pytest.raises(ValueError):
-        c.preload("d", 3, 4, 7)  # k > C(3,2) forces the count to 0
-    c.preload("d", 3, 4, 0)  # ...but an explicit zero there is fine
+    with pytest.raises(ValueError, match="unknown family 'x'"):
+        c.cell("x", 3, 1)
+    with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+        c.cell("d", -1, 0)
+    with pytest.raises(ValueError, match="k must be nonnegative, got -5"):
+        c.cell("d", 3, -5)
+    for family in FAMILIES[1:]:  # only d is defined at n=0
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            c.cell(family, 0, 0)
+    assert c.cell("d", 3, 4) == 0  # k > C(3,2) forces the count to 0
     assert c.dag_count(3, 4) == 0
-
-
-def test_preload_conflicts_with_computed_value():
-    c = DescentCounter()
-    c.dag_count(3, 1)  # materializes row 3
-    c.preload("d", 3, 1, 11)  # matching value is a no-op
-    with pytest.raises(ValueError):
-        c.preload("d", 3, 1, 12)
-
-
-def test_preload_rejects_a_value_past_the_fixture():
-    # d(9,36) is 1: only the graph with every edge x -> y, x > y, has
-    # C(9,2) = 36 descents; n = 9 is past the golden fixture
-    c = DescentCounter()
-    with pytest.raises(ValueError, match=r"d\(9,36\) is 1, not 2"):
-        c.preload("d", 9, 36, 2)
-    c.preload("d", 9, 36, 1)
-    assert c.dag_count(9, 36) == 1
-
-
-@pytest.mark.parametrize("family", ["A", "B"])
-@pytest.mark.parametrize("whole_level", [False, True])
-def test_preload_rejects_a_cell_nothing_else_reads(family, whole_level):
-    # A(6,15) and B(6,15) feed no d cell, so a value one too high there
-    # would drive nothing negative; preload refuses it all the same
-    reference = DescentCounter()
-    reference.table(6)
-    checked = DescentCounter()
-    for tag, n, k, value in reference.entries():
-        if (tag, n, k) == (family, 6, 15):
-            with pytest.raises(ValueError, match=rf"{family}\(6,15\) is "):
-                checked.preload(tag, n, k, value + 1)
-        elif whole_level and n == 6:
-            checked.preload(tag, n, k, value)
-    # the rejected value is not kept: the counter holds computed cells only
-    assert checked.table(6) == reference.table(6)
-    assert list(checked.entries()) == list(reference.entries())
 
 
 @pytest.mark.parametrize("family", ["A", "B"])
@@ -467,35 +431,61 @@ def test_insertion_guard_catches_a_computed_cell(family, monkeypatch):
     with pytest.raises(EngineInconsistency, match="fails at n=6, k=1[56]$"):
         counter.table(6)
     assert bumps == [6]
+    # nothing of the failed level is stored, so a snapshot cannot save it
+    filled_to_5 = DescentCounter()
+    filled_to_5.table(5)
+    assert list(counter.entries()) == list(filled_to_5.entries())
     # the failed level is not kept: the next query fills it afresh
     assert counter.table(6) == reference.table(6)
     assert list(counter.entries()) == list(reference.entries())
 
 
-def test_row_sum_guard_catches_every_computed_u_cell(monkeypatch):
-    # u(8,k) feeds no other row of level 8, so only the u/t row-sum
-    # identity can see a +1 there; every one of the 29 cells must raise
+@pytest.mark.parametrize("family", ["t", "u", "A", "B", "Cw"])
+def test_guard_catches_every_computed_cell(family, monkeypatch):
+    # a +1 on any one of the 29 freshly computed cells of a level-8 row
+    # must raise at level 8.  One on t (through B's j = n split), A, B or
+    # Cw shifts the d row, growing sevenfold per k, until a d cell goes
+    # negative or an insertion identity fails; u feeds no other row of
+    # its level, so only the u/t row-sum identity sees it
     packed_rows = DescentCounter._packed_rows
     target = [0]
 
     def bumped(self, n, size):
         rows = packed_rows(self, n, size)
-        t, u, a, b, cw = rows
         if n == 8:
-            u[target[0]] += 1
+            rows[FAMILIES.index(family) - 1][target[0]] += 1
         return rows
 
     monkeypatch.setattr(DescentCounter, "_packed_rows", bumped)
+    expected = (r"sum_k u\(n,k\) = sum_k t\(n,k\) fails at n=8$"
+                if family == "u" else r"d\(8,\d+\) = -\d+$|n=8, k=\d+$")
     caught = []
     for k in range(29):
         target[0] = k
         try:
             DescentCounter().table(8)
         except EngineInconsistency as exc:
-            assert str(exc).endswith("sum_k u(n,k) = sum_k t(n,k) fails "
-                                     "at n=8")
+            assert re.search(expected, str(exc)), str(exc)
             caught.append(k)
     assert caught == list(range(29))
+
+
+@pytest.mark.parametrize("family, caught", [
+    ("d", 16), ("t", 16), ("u", 16), ("A", 0), ("B", 0), ("Cw", 0)])
+def test_guard_sweep_of_stored_level_6_cells(family, caught):
+    # a +1 on a stored d, t or u cell of level 6 breaks level 7's
+    # identities; stored A, B and Cw rows feed no later level, so no
+    # guard can see a wrong cell there: it stays out of the guard's reach
+    raised = 0
+    for k in range(16):
+        counter = DescentCounter()
+        counter.table(6)
+        counter._rows[family][6][k] += 1
+        try:
+            counter.table(7)
+        except EngineInconsistency:
+            raised += 1
+    assert raised == caught
 
 
 def test_random_spot_checks_are_stable():

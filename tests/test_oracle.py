@@ -136,11 +136,12 @@ def test_three_vertex_tables():
     assert counts.spanning_from_lowest == [3, 2, 0, 0]
     assert counts.spanning_from_highest == [0, 1, 3, 1]
     ks = range(len(counts.by_descents))
-    assert [counts.descent_incidences_into_lowest(k) for k in ks] == \
-        [0, 7, 7, 2]
-    assert [counts.reachability_incidences_from_lowest(k) for k in ks] == \
-        [9, 8, 1, 0]
-    assert [counts.lowest_indegree_overcount(k) for k in ks] == [0, 0, 2, 1]
+    assert [counts.cell("A", k) for k in ks] == [0, 7, 7, 2]
+    assert [counts.cell("B", k) for k in ks] == [9, 8, 1, 0]
+    assert [counts.cell("Cw", k) for k in ks] == [0, 0, 2, 1]
+    assert [counts.cell("u", k) for k in ks] == counts.spanning_from_highest
+    with pytest.raises(ValueError, match="unknown family 'x'"):
+        counts.cell("x", 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
