@@ -1,8 +1,8 @@
 """Exhaustive ground-truth enumeration of labeled DAGs.
 
 This is the brute-force side of the differential test setup: build every
-acyclic digraph on n vertices, one at a time, and tally the same
-statistics the recurrence engine computes.  The two implementations
+acyclic digraph on n vertices, one at a time, and count the engine's six
+families, d, t, u, A, B and Cw, by descents.  The two implementations
 share no counting logic, so exact agreement on small n is strong
 evidence for both.  The tests hold a third, per-graph reference that
 reads each statistic off one edge set at a time.
@@ -24,10 +24,10 @@ standing for label b+1, its fields are, from the lowest bit up:
     bits 2n+1 and up   the number of descents k
 
 Enumeration cost is one step per DAG: n=5 has 29,281 DAGs (10 ms) and
-n=6 has 3,781,503 (0.9 s, quartiles 0.70-0.94 s), measured in fresh
-processes on a 2-core host with Python 3.11.  So n=6 sits behind an
-explicit ``allow_slow`` override.  Larger n (1,138,779,265 DAGs at n=7)
-is refused outright.
+n=6 has 3,781,503 (0.75 s, quartiles 0.69-0.92 s over 12 runs),
+measured in fresh processes on a 2-core host with Python 3.11.  So n=6
+sits behind an explicit ``allow_slow`` override.  Larger n
+(1,138,779,265 DAGs at n=7) is refused outright.
 """
 from __future__ import annotations
 
@@ -38,27 +38,20 @@ from typing import Iterator
 MAX_ORACLE_N = 6
 
 
-class OracleCounts(namedtuple("OracleCounts", (
-        "n", "by_descents", "spanning_from_lowest", "spanning_from_highest",
-        "edge_into_lowest", "vertex_reachable_from_lowest",
-        "lowest_indegree"))):
-    """Exhaustive count tables for one vertex count n.
+class OracleCounts(namedtuple("OracleCounts",
+                              ("n", "d", "t", "u", "A", "B", "Cw"))):
+    """Exhaustive counts for one vertex count n: one row per family of
+    the engine, each indexed by descent count k = 0..C(n,2).  Over the
+    acyclic digraphs with k descents:
 
-    All lists are indexed by descent count k = 0..C(n,2).  The
-    two-dimensional tables are indexed [k][m] with m a vertex label
-    (entries for m outside the meaningful range stay 0):
+    - ``d[k]`` counts them;
+    - ``t[k]`` counts those where every vertex is reachable from 1;
+    - ``u[k]`` counts those where every vertex is reachable from n;
+    - ``A[k]`` sums their edges m -> 1;
+    - ``B[k]`` sums their vertices m >= 2 reachable from 1;
+    - ``Cw[k]`` sums j - 1 over those with j >= 2 edges into 1.
 
-    - ``by_descents[k]``: acyclic digraphs with k descents.
-    - ``spanning_from_lowest[k]``: those where every vertex is reachable
-      from vertex 1.
-    - ``spanning_from_highest[k]``: every vertex reachable from vertex n.
-    - ``edge_into_lowest[k][m]``: graphs containing the edge m -> 1.
-    - ``vertex_reachable_from_lowest[k][m]``: graphs where m is
-      reachable from vertex 1 (m >= 2).
-    - ``lowest_indegree[k][m]``: graphs with exactly m edges into
-      vertex 1.
-
-    Tables over disjoint sets of graphs merge by ``+``.
+    Counts over disjoint sets of graphs merge by ``+``.
     """
 
     __slots__ = ()
@@ -66,59 +59,30 @@ class OracleCounts(namedtuple("OracleCounts", (
     @classmethod
     def zeros(cls, n: int) -> "OracleCounts":
         size = n * (n - 1) // 2 + 1
-        return cls(
-            n=n,
-            by_descents=[0] * size,
-            spanning_from_lowest=[0] * size,
-            spanning_from_highest=[0] * size,
-            edge_into_lowest=[[0] * (n + 1) for _ in range(size)],
-            vertex_reachable_from_lowest=[[0] * (n + 1) for _ in range(size)],
-            lowest_indegree=[[0] * (n + 1) for _ in range(size)],
-        )
+        return cls(n, *([0] * size for _ in cls._fields[1:]))
+
+    @property
+    def by_descents(self) -> list[int]:
+        """Alias of the ``d`` row."""
+        return self.d
 
     def __add__(self, other: "OracleCounts") -> "OracleCounts":
         if not isinstance(other, OracleCounts):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("cannot merge counts for different n")
-        merged = OracleCounts.zeros(self.n)
-        for k in range(len(self.by_descents)):
-            merged.by_descents[k] = self.by_descents[k] + other.by_descents[k]
-            merged.spanning_from_lowest[k] = (
-                self.spanning_from_lowest[k] + other.spanning_from_lowest[k])
-            merged.spanning_from_highest[k] = (
-                self.spanning_from_highest[k] + other.spanning_from_highest[k])
-            for m in range(self.n + 1):
-                merged.edge_into_lowest[k][m] = (
-                    self.edge_into_lowest[k][m] + other.edge_into_lowest[k][m])
-                merged.vertex_reachable_from_lowest[k][m] = (
-                    self.vertex_reachable_from_lowest[k][m]
-                    + other.vertex_reachable_from_lowest[k][m])
-                merged.lowest_indegree[k][m] = (
-                    self.lowest_indegree[k][m] + other.lowest_indegree[k][m])
-        return merged
-
-    def total(self) -> int:
-        return sum(self.by_descents)
+        return OracleCounts(self.n, *(
+            [x + y for x, y in zip(mine, theirs)]
+            for mine, theirs in zip(self[1:], other[1:])))
 
     def cell(self, family: str, k: int) -> int:
-        """Cell (n, k) of the engine's family tagged ``family``: d, t, u,
-        A (edges m -> 1), B (vertices m >= 2 reachable from 1) or Cw
-        (m - 1 per graph with m >= 2 edges into 1)."""
-        if family == "d":
-            return self.by_descents[k]
-        if family == "t":
-            return self.spanning_from_lowest[k]
-        if family == "u":
-            return self.spanning_from_highest[k]
-        if family == "A":
-            return sum(self.edge_into_lowest[k][2:])
-        if family == "B":
-            return sum(self.vertex_reachable_from_lowest[k][2:])
-        if family == "Cw":
-            return sum((m - 1) * c
-                       for m, c in enumerate(self.lowest_indegree[k]) if m > 1)
-        raise ValueError(f"unknown family {family!r}")
+        """Cell (n, k) of the row tagged ``family``; 0 past k = C(n,2)."""
+        if family not in self._fields[1:]:
+            raise ValueError(f"unknown family {family!r}")
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got {k}")
+        row = getattr(self, family)
+        return row[k] if k < len(row) else 0
 
 
 def _subsets(bits: int) -> Iterator[int]:
@@ -145,17 +109,18 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
     the earlier labels' descendant sets.
 
     Each finished DAG is tallied once by its int signature (module
-    docstring); the signatures are expanded into the tables at the end.
-    A prefix carries the descent and edge-into-1 fields of its
-    signature, and ``steps[v][O]`` adds O's share (|O| descents, and
+    docstring).  A prefix carries the descent and edge-into-1 fields of
+    its signature, and ``steps[v][O]`` adds O's share (|O| descents, and
     v's bit if 1 is in O), built once per n.  For the last label only
     the labels reachable from 1 still depend on I: they gain n's reach
     exactly when I meets the descendants of 1.  So its in-sets are
     walked inline, each adding 1 to a hit or a miss counter, and the two
-    counters are tallied once per (prefix, O).
+    counters are tallied once per (prefix, O).  At the end each
+    signature adds its count to the six rows, A and Cw by the size of
+    its into-1 field and B by the size of its reach-of-1 field.
 
-    n = 6 visits 3,781,503 DAGs (0.7-0.94 s on a 2-core host) and
-    therefore requires ``allow_slow=True``; n > 6 is refused.
+    n = 6 visits 3,781,503 DAGs (module docstring) and therefore
+    requires ``allow_slow=True``; n > 6 is refused.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
@@ -218,19 +183,17 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
     counts = OracleCounts.zeros(n)
     for key, count in tally.items():
         k = key >> k_shift
-        into_lowest = key >> into_shift & full
+        into = (key >> into_shift & full).bit_count()
         lowest = key & full
-        counts.by_descents[k] += count
+        counts.d[k] += count
         if lowest == full:
-            counts.spanning_from_lowest[k] += count
+            counts.t[k] += count
         if key >> n & 1:
-            counts.spanning_from_highest[k] += count
-        counts.lowest_indegree[k][into_lowest.bit_count()] += count
-        for m in range(2, n + 1):
-            if (into_lowest >> (m - 1)) & 1:
-                counts.edge_into_lowest[k][m] += count
-            if (lowest >> (m - 1)) & 1:
-                counts.vertex_reachable_from_lowest[k][m] += count
+            counts.u[k] += count
+        counts.A[k] += into * count
+        counts.B[k] += (lowest.bit_count() - 1) * count
+        if into > 1:
+            counts.Cw[k] += (into - 1) * count
     return counts
 
 

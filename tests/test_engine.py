@@ -99,47 +99,12 @@ def test_structural_invariants(counter):
 # ----------------------------------------------------------------------
 # independent recurrence: inclusion-exclusion over nonempty source sets.
 # If S is the set of sources, there are no edges within S, each cross
-# pair (s, v) with s in S is a free slot — weight (1+x) when s > v,
-# weight 2 otherwise — and the rest is any DAG on the remaining labels.
-# The number of S with |S| = m and e descent slots is the coefficient
-# gaussian_coefficient(n, m, e) (palindromy swaps ascent/descent slots).
-# This shares nothing with the engine's edge-insertion recurrence, so
-# agreement pins the whole table a second way.
-
-def _rows_by_source_set_recurrence(n_max):
-    polys = [[1]]
-    for n in range(1, n_max + 1):
-        acc = [0] * (n * (n - 1) // 2 + 1)
-        for m in range(1, n + 1):
-            span = m * (n - m)
-            cross = [0] * (span + 1)
-            for e in range(span + 1):
-                q = gaussian_coefficient(n, m, e)
-                if q == 0:
-                    continue
-                weight = q * (1 << (span - e))
-                for i in range(e + 1):
-                    cross[i] += weight * math.comb(e, i)
-            sign = 1 if m % 2 else -1
-            sub = polys[n - m]
-            for i, ci in enumerate(cross):
-                if ci == 0:
-                    continue
-                for jj, sj in enumerate(sub):
-                    if sj:
-                        acc[i + jj] += sign * ci * sj
-        polys.append(acc)
-    return polys[1:]
-
-
-def test_table_matches_source_set_recurrence(counter):
-    assert counter.table(8) == _rows_by_source_set_recurrence(8)
-
-
-# The same inclusion-exclusion, extended to all six families and taken
-# twice as deep.  P(N, M) sums, over the M-subsets S of an N-set, the
-# product over cross pairs (s in S, y not in S) of (1+x) when s > y and
-# 2 otherwise; splitting on whether the top element is in S gives
+# pair (s, y) with s in S is a free slot (weight 1+x when s > y, weight
+# 2 otherwise), and the rest is any DAG on the remaining labels.  This
+# shares nothing with the engine's edge-insertion recurrence, so
+# agreement pins the six families a second way.  P(N, M) sums, over the
+# M-subsets S of an N-set, the product over cross pairs of those
+# weights; splitting on whether the top element is in S gives
 #     P(N, M) = (1+x)^(N-M) P(N-1, M-1) + 2^M P(N-1, M).
 # With the sign (-1)^(m+1) over m = |S|:
 # - d sums P(n, m) d_(n-m);
@@ -220,6 +185,11 @@ def _six_families_by_source_sets(n_max):
         families["Cw"][n] = [cell(a[n], k) - cell(d[n], k)
                              + 2 ** (n - 1) * cell(d[n - 1], k) for k in ks]
     return families
+
+
+def test_table_matches_source_set_recurrence(counter):
+    reference = _six_families_by_source_sets(8)["d"]
+    assert counter.table(8) == [reference[n] for n in range(1, 9)]
 
 
 def test_six_families_match_source_sets_through_16():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from dag_reference import Dag, DagStats, is_acyclic, ordered_pairs, stats
-from dagdescents.engine import labeled_dag_total
+from dagdescents.engine import FAMILIES, labeled_dag_total
 from dagdescents.combinatorics import gaussian_coefficient
 from dagdescents.oracle import (
     OracleCounts,
@@ -59,18 +59,18 @@ def test_dag_stats_fields_in_order():
                             frozenset({2, 3}))}) == 1
 
 
+def test_oracle_counts_fields_are_the_engine_tags():
+    assert OracleCounts._fields == ("n", *FAMILIES)
+
+
 def test_oracle_counts_zeros_and_equality():
     zeros = OracleCounts.zeros(3)
     assert zeros.n == 3
-    assert zeros.by_descents == [0, 0, 0, 0]
-    assert zeros.spanning_from_lowest == [0, 0, 0, 0]
-    assert zeros.spanning_from_highest == [0, 0, 0, 0]
-    for table in (zeros.edge_into_lowest, zeros.vertex_reachable_from_lowest,
-                  zeros.lowest_indegree):
-        assert table == [[0] * 4 for _ in range(4)]
+    for family in FAMILIES:
+        assert getattr(zeros, family) == [0, 0, 0, 0], family
     # the rows are independent lists, not aliases of one row
-    zeros.edge_into_lowest[0][2] = 1
-    assert zeros.edge_into_lowest[1][2] == 0
+    zeros.A[0] = 1
+    assert zeros.B == [0, 0, 0, 0] and zeros.A[1] == 0
     assert zeros != OracleCounts.zeros(3)
     assert OracleCounts.zeros(3) == OracleCounts.zeros(3)
     assert OracleCounts.zeros(3) != OracleCounts.zeros(4)
@@ -81,13 +81,12 @@ def test_oracle_counts_add_sums_every_table():
     counts = enumerate_counts(3)
     doubled = counts + enumerate_counts(3)
     assert doubled.n == 3
-    assert doubled.by_descents == [16, 22, 10, 2]
-    assert doubled.spanning_from_lowest == [6, 4, 0, 0]
-    assert doubled.spanning_from_highest == [0, 2, 6, 2]
-    for name in ("edge_into_lowest", "vertex_reachable_from_lowest",
-                 "lowest_indegree"):
-        assert getattr(doubled, name) == [
-            [2 * c for c in row] for row in getattr(counts, name)], name
+    assert doubled.d == [16, 22, 10, 2]
+    assert doubled.t == [6, 4, 0, 0]
+    assert doubled.u == [0, 2, 6, 2]
+    for family in ("A", "B", "Cw"):
+        assert getattr(doubled, family) == [
+            2 * c for c in getattr(counts, family)], family
     assert counts == enumerate_counts(3)  # operands are left unchanged
     with pytest.raises(TypeError):
         counts + 1
@@ -125,33 +124,48 @@ def test_stats_rejects_cycles():
 
 def test_two_vertex_tables():
     counts = enumerate_counts(2)
-    assert counts.by_descents == [2, 1]
-    assert counts.spanning_from_lowest == [1, 0]
-    assert counts.spanning_from_highest == [0, 1]
+    assert counts.d == [2, 1]
+    assert counts.t == [1, 0]
+    assert counts.u == [0, 1]
+    assert counts.A == [0, 1]
+    assert counts.B == [1, 0]
+    assert counts.Cw == [0, 0]
 
 
 def test_three_vertex_tables():
     counts = enumerate_counts(3)
-    assert counts.by_descents == [8, 11, 5, 1]
-    assert counts.spanning_from_lowest == [3, 2, 0, 0]
-    assert counts.spanning_from_highest == [0, 1, 3, 1]
-    ks = range(len(counts.by_descents))
-    assert [counts.cell("A", k) for k in ks] == [0, 7, 7, 2]
-    assert [counts.cell("B", k) for k in ks] == [9, 8, 1, 0]
-    assert [counts.cell("Cw", k) for k in ks] == [0, 0, 2, 1]
-    assert [counts.cell("u", k) for k in ks] == counts.spanning_from_highest
-    with pytest.raises(ValueError, match="unknown family 'x'"):
-        counts.cell("x", 0)
+    assert counts.d == [8, 11, 5, 1]
+    assert counts.t == [3, 2, 0, 0]
+    assert counts.u == [0, 1, 3, 1]
+    assert counts.A == [0, 7, 7, 2]
+    assert counts.B == [9, 8, 1, 0]
+    assert counts.Cw == [0, 0, 2, 1]
+    for family in FAMILIES:
+        row = getattr(counts, family)
+        assert [counts.cell(family, k) for k in range(len(row))] == row
+    assert counts.by_descents is counts.d
+    for tag in ("x", "n"):
+        with pytest.raises(ValueError, match=f"unknown family '{tag}'"):
+            counts.cell(tag, 0)
+
+
+def test_cell_rejects_negative_k_and_reads_zero_past_the_row():
+    counts = enumerate_counts(3)
+    for family in FAMILIES:
+        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+            counts.cell(family, -1)
+        assert counts.cell(family, 4) == 0
+        assert counts.cell(family, 100) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_totals_match_alternating_recurrence(n):
-    assert enumerate_counts(n).total() == labeled_dag_total(n)
+    assert sum(enumerate_counts(n).d) == labeled_dag_total(n)
 
 
 def test_totals_are_labeled_dag_counts():
     # OEIS A003024 (Robinson, "Counting labeled acyclic digraphs", 1973)
-    assert [enumerate_counts(n).total() for n in range(1, 6)] == \
+    assert [sum(enumerate_counts(n).d) for n in range(1, 6)] == \
         [1, 3, 25, 543, 29281]
 
 
@@ -184,17 +198,14 @@ def test_fast_path_agrees_with_per_graph_stats(n):
             continue
         s = stats(g)
         k = s.descents
-        slow.by_descents[k] += 1
+        slow.d[k] += 1
         if len(s.reachable_from_lowest) == n:
-            slow.spanning_from_lowest[k] += 1
+            slow.t[k] += 1
         if len(s.reachable_from_highest) == n:
-            slow.spanning_from_highest[k] += 1
-        for m in range(2, n + 1):
-            if m in s.predecessors_of_lowest:
-                slow.edge_into_lowest[k][m] += 1
-            if m in s.reachable_from_lowest:
-                slow.vertex_reachable_from_lowest[k][m] += 1
-        slow.lowest_indegree[k][s.descents_into_lowest] += 1
+            slow.u[k] += 1
+        slow.A[k] += len(s.predecessors_of_lowest)
+        slow.B[k] += len(s.reachable_from_lowest) - 1
+        slow.Cw[k] += max(s.descents_into_lowest - 1, 0)
     assert slow == enumerate_counts(n)
 
 
@@ -208,21 +219,24 @@ def test_enumerator_bookkeeping_symmetries(n, edges, reached, spanning):
     """Relabeling two vertices other than 1 maps DAGs to DAGs, so every
     m >= 2 has the same number of graphs with the edge m -> 1 and with m
     reachable from 1; reversing the labels swaps "1 reaches all" with
-    "n reaches all".  This pins the into-lowest bits and the reach split
-    of vertex 1 for n = 5, beyond the per-graph comparison's n <= 4."""
+    "n reaches all".  Vertex 1 has no in-edge in 2^(n-1) a_(n-1) graphs
+    (a the labeled-DAG totals), so Cw, which counts j - 1 per graph with
+    j >= 1 edges into 1, sums to sum(A) - a_n + 2^(n-1) a_(n-1).  This
+    pins the into-lowest bits and the reach split of vertex 1 for n = 5,
+    beyond the per-graph comparison's n <= 4."""
     counts = enumerate_counts(n)
-    ks = range(len(counts.by_descents))
-    into = [sum(counts.edge_into_lowest[k][m] for k in ks)
-            for m in range(2, n + 1)]
-    reach = [sum(counts.vertex_reachable_from_lowest[k][m] for k in ks)
-             for m in range(2, n + 1)]
-    assert into == [edges] * (n - 1)
-    assert reach == [reached] * (n - 1)
-    assert sum(counts.spanning_from_lowest) == spanning
-    assert sum(counts.spanning_from_highest) == spanning
-    assert sum(j * c for row in counts.lowest_indegree
-               for j, c in enumerate(row)) == sum(into)
-    assert sum(map(sum, counts.lowest_indegree)) == counts.total()
+    assert sum(counts.A) == (n - 1) * edges
+    assert sum(counts.B) == (n - 1) * reached
+    assert sum(counts.t) == spanning
+    assert sum(counts.u) == spanning
+    with_edge_into_one = (labeled_dag_total(n)
+                        - 2 ** (n - 1) * labeled_dag_total(n - 1))
+    assert sum(counts.Cw) == sum(counts.A) - with_edge_into_one
+
+
+def test_cw_row_sums_for_n_up_to_5():
+    assert [sum(enumerate_counts(n).Cw) for n in range(1, 6)] == \
+        [0, 0, 3, 161, 14671]
 
 
 def test_subset_pair_histogram_examples():
