@@ -11,12 +11,14 @@ Three subcommands:
 
 Each computes from a cold engine.  Exit codes: 0 success, 1 verification
 mismatch or an internal inconsistency (a filled count came out negative
-or broke one of the engine's identities), 2 usage error, including a vertex count
-above ``engine.MAX_N``, 130 interrupted (SIGINT).
+or broke one of the engine's identities), 2 usage error, including a
+vertex count above ``engine.MAX_N``, 130 interrupted (SIGINT), 141
+stdout closed by its reader (128 + SIGPIPE, nothing on stderr).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .engine import MAX_N, DescentCounter, EngineInconsistency
@@ -69,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of vertices")
     p_value.add_argument("--k", type=_nonnegative, required=True,
                          help="number of descents")
+    p_value.set_defaults(handler=_cmd_value)
 
     p_table = sub.add_parser(
         "table", help="emit the table of counts for n = 1..max-n")
@@ -81,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output format (default csv)")
     p_table.add_argument("--out", default=None,
                          help="write to this file instead of stdout")
+    p_table.set_defaults(handler=_cmd_table)
 
     p_verify = sub.add_parser(
         "verify",
@@ -91,14 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="oracle_max_n",
                           help="exhaustively enumerate up to this n "
                                "(default 4, max 6)")
-    p_verify.add_argument("--allow-slow", action="store_true",
-                          help="permit the n=6 exhaustive run "
-                               "(3,781,503 DAGs, about a second)")
     p_verify.add_argument("--checks", default=",".join(CHECK_NAMES),
                           help="comma-separated subset of: "
                                + ", ".join(CHECK_NAMES))
     # verify's own usage errors print its usage line, not the top level's
-    p_verify.set_defaults(parser=p_verify)
+    p_verify.set_defaults(handler=_cmd_verify, parser=p_verify)
     return parser
 
 
@@ -214,17 +215,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "value":
-            return _cmd_value(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        return _cmd_verify(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except EngineInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # fd 1 goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

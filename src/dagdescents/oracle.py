@@ -25,9 +25,8 @@ standing for label b+1, its fields are, from the lowest bit up:
 
 Enumeration cost is one step per DAG: n=5 has 29,281 DAGs (10 ms) and
 n=6 has 3,781,503 (0.75 s, quartiles 0.69-0.92 s over 12 runs),
-measured in fresh processes on a 2-core host with Python 3.11.  So n=6
-sits behind an explicit ``allow_slow`` override.  Larger n
-(1,138,779,265 DAGs at n=7) is refused outright.
+measured in fresh processes on a 2-core host with Python 3.11.  Larger
+n is refused: n=7 has 1,138,779,265 DAGs, about 300 times as many.
 """
 from __future__ import annotations
 
@@ -94,7 +93,7 @@ def _subsets(bits: int) -> Iterator[int]:
     yield 0
 
 
-def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
+def enumerate_counts(n: int) -> OracleCounts:
     """Count every acyclic digraph on n vertices by building each once.
 
     Labels are added in the order 1, 2, ..., n.  Label v chooses an
@@ -119,8 +118,7 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
     signature adds its count to the six rows, A and Cw by the size of
     its into-1 field and B by the size of its reach-of-1 field.
 
-    n = 6 visits 3,781,503 DAGs (module docstring) and therefore
-    requires ``allow_slow=True``; n > 6 is refused.
+    n = 6 visits 3,781,503 DAGs (module docstring); n > 6 is refused.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
@@ -128,10 +126,6 @@ def enumerate_counts(n: int, *, allow_slow: bool = False) -> OracleCounts:
         raise ValueError(
             f"exhaustive enumeration is limited to n <= {MAX_ORACLE_N}; "
             f"got n={n}")
-    if n == MAX_ORACLE_N and not allow_slow:
-        raise ValueError(
-            "n=6 enumerates 3,781,503 DAGs and takes about a second; "
-            "pass allow_slow=True to run it anyway")
 
     full = (1 << n) - 1
     into_shift = n + 1

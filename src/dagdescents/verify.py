@@ -42,68 +42,54 @@ def series_identity_check(degree: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# checks: each takes (counter, args) and returns None on success or a
-# failure detail string
+# checks: each takes (counter, args) and yields a failure detail string
+# per mismatch, in order; ``run`` reports the first
 
-def _check_golden(counter: DescentCounter,
-                  args: argparse.Namespace) -> str | None:
-    top = min(args.max_n, GOLDEN_MAX_N)
-    for n in range(1, top + 1):
-        expected_row = GOLDEN_COUNTS[n]
-        actual_row = counter.table(n)[n - 1]
-        for k, expected in enumerate(expected_row):
-            actual = actual_row[k]
-            if actual != expected:
-                return f"d {n} {k} expected {expected} actual {actual}"
-    return None
-
-
-def _check_totals(counter: DescentCounter,
-                  args: argparse.Namespace) -> str | None:
-    for n in range(args.max_n + 1):
-        expected = labeled_dag_total(n)
-        actual = counter.row_total(n)
+def _mismatches(cells):
+    """``label expected E actual A`` for each (label, expected, actual)
+    triple whose values differ; a label is a tuple of words."""
+    for label, expected, actual in cells:
         if actual != expected:
-            return f"total {n} expected {expected} actual {actual}"
-    return None
+            words = " ".join(map(str, label))
+            yield f"{words} expected {expected} actual {actual}"
 
 
-def _check_series(counter: DescentCounter,
-                  args: argparse.Namespace) -> str | None:
+def _check_golden(counter: DescentCounter, args: argparse.Namespace):
+    top = min(args.max_n, GOLDEN_MAX_N)
+    return _mismatches((("d", n, k), expected, counter.cell("d", n, k))
+                       for n in range(1, top + 1)
+                       for k, expected in enumerate(GOLDEN_COUNTS[n]))
+
+
+def _check_totals(counter: DescentCounter, args: argparse.Namespace):
+    return _mismatches((("total", n), labeled_dag_total(n),
+                        counter.row_total(n))
+                       for n in range(args.max_n + 1))
+
+
+def _check_series(counter: DescentCounter, args: argparse.Namespace):
     if not series_identity_check(args.max_n):
-        return f"reciprocal series identity fails by degree {args.max_n}"
-    return None
+        yield f"reciprocal series identity fails by degree {args.max_n}"
 
 
-def _check_subsets(counter: DescentCounter,
-                   args: argparse.Namespace) -> str | None:
+def _check_subsets(counter: DescentCounter, args: argparse.Namespace):
     from .oracle import subset_pair_histogram
 
-    for n in range(9):
-        for j in range(n + 1):
-            histogram = subset_pair_histogram(n, j)
-            for i, actual in enumerate(histogram):
-                expected = gaussian_coefficient(n, j, i)
-                if actual != expected:
-                    return (f"histogram {n} {j} index {i} "
-                            f"expected {expected} actual {actual}")
-    return None
+    return _mismatches((("histogram", n, j, "index", i),
+                        gaussian_coefficient(n, j, i), actual)
+                       for n in range(9) for j in range(n + 1)
+                       for i, actual in enumerate(subset_pair_histogram(n, j)))
 
 
-def _check_oracle(counter: DescentCounter,
-                  args: argparse.Namespace) -> str | None:
+def _check_oracle(counter: DescentCounter, args: argparse.Namespace):
     from .oracle import enumerate_counts
 
     for n in range(1, args.oracle_max_n + 1):
-        counts = enumerate_counts(n, allow_slow=args.allow_slow)
-        for k in range(n * (n - 1) // 2 + 1):
-            for family in FAMILIES:
-                expected = counts.cell(family, k)
-                actual = counter.cell(family, n, k)
-                if actual != expected:
-                    return (f"{family} {n} {k} "
-                            f"expected {expected} actual {actual}")
-    return None
+        counts = enumerate_counts(n)
+        yield from _mismatches(((family, n, k), counts.cell(family, k),
+                                counter.cell(family, n, k))
+                               for k in range(n * (n - 1) // 2 + 1)
+                               for family in FAMILIES)
 
 
 #: The checks in run order: (name, check, scope(args) -> the text after
@@ -141,16 +127,13 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                      f"(valid: {valid})")
     if args.oracle_max_n > MAX_ORACLE_N:
         parser.error(f"--oracle-max-n is capped at {MAX_ORACLE_N}")
-    if args.oracle_max_n == MAX_ORACLE_N and not args.allow_slow:
-        parser.error("--oracle-max-n 6 enumerates 3,781,503 DAGs "
-                     "(about a second); pass --allow-slow to confirm")
 
     counter = DescentCounter()
     failures = 0
     for name, check, scope in VERIFY_CHECKS:
         if name not in requested:
             continue
-        detail = check(counter, args)
+        detail = next(check(counter, args), None)
         if detail is None:
             print(f"PASS {name}: {scope(args)}")
         else:

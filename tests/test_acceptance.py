@@ -56,7 +56,7 @@ def test_criterion_3_oracle_differential():
     started = time.perf_counter()
     counter = DescentCounter()
     for n in range(1, 7):
-        counts = enumerate_counts(n, allow_slow=True)
+        counts = enumerate_counts(n)
         top = math.comb(n, 2)
         for k in range(top + 1):
             for family in FAMILIES:
@@ -166,11 +166,11 @@ def test_criterion_8_cli_golden(tmp_path, capsys, monkeypatch):
     save_cache(second, counter)
     assert first.read_bytes() == second.read_bytes()
 
-    # exit codes: clean verify 0, gated flag 2, internal inconsistency 1
+    # exit codes: clean verify 0, capped flag 2, internal inconsistency 1
     # (a verify FAIL is exit 1 too: test_verify_detects_tampered_fixture)
     assert run("verify", "--max-n", "8", "--oracle-max-n", "4") == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert run("verify", "--oracle-max-n", "6") == 2
+    assert run("verify", "--oracle-max-n", "7") == 2
     capsys.readouterr()
     packed_rows = DescentCounter._packed_rows
     bumps = []

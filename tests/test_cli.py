@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from dagdescents import cli, golden, verify
+from dagdescents import cli, golden, oracle, verify
 from dagdescents.cache import HEADER
+from dagdescents.combinatorics import gaussian_coefficient
 from dagdescents.engine import DescentCounter, labeled_dag_total
+from dagdescents.oracle import enumerate_counts
 
 
 def run_cli(*argv):
@@ -237,6 +239,33 @@ def test_verify_detects_tampered_fixture(monkeypatch, capsys):
     assert "FAIL golden: d 5 2 expected 6699 actual 6698" in out
 
 
+def _bumped_oracle(n):
+    counts = enumerate_counts(n)
+    if n == 3:
+        counts.B[2] += 1
+    return counts
+
+
+@pytest.mark.parametrize("check, module, name, fake, detail", [
+    ("totals", verify, "labeled_dag_total",
+     lambda n: labeled_dag_total(n) + (n == 3),
+     "total 3 expected 26 actual 25"),
+    ("series", verify, "series_identity_check", lambda degree: False,
+     "reciprocal series identity fails by degree 8"),
+    ("subsets", verify, "gaussian_coefficient",
+     lambda n, j, i: gaussian_coefficient(n, j, i) + ((n, j, i) == (5, 2, 3)),
+     "histogram 5 2 index 3 expected 3 actual 2"),
+    ("oracle", oracle, "enumerate_counts", _bumped_oracle,
+     "B 3 2 expected 2 actual 1"),
+], ids=["totals", "series", "subsets", "oracle"])
+def test_verify_fail_line_names_first_mismatch(check, module, name, fake,
+                                               detail, monkeypatch, capsys):
+    # each check's source is made to disagree with the engine in one cell
+    monkeypatch.setattr(module, name, fake)
+    assert run_cli("verify", "--checks", check) == 1
+    assert capsys.readouterr().out == f"FAIL {check}: {detail}\n"
+
+
 def test_check_names_match_the_checks_in_order():
     assert cli.CHECK_NAMES == tuple(name for name, _, _
                                     in verify.VERIFY_CHECKS)
@@ -247,16 +276,16 @@ VERIFY_USAGE = "usage: dagdescents verify [-h]"
 
 
 def test_verify_gates_full_oracle(capsys):
-    assert run_cli("verify", "--oracle-max-n", "6") == 2
-    err = capsys.readouterr().err
-    assert err.startswith(VERIFY_USAGE)
-    assert ("dagdescents verify: error: --oracle-max-n 6 enumerates "
-            "3,781,503 DAGs (about a second); pass --allow-slow to confirm\n"
-            ) in err
-    assert run_cli("verify", "--oracle-max-n", "7", "--allow-slow") == 2
+    # n = 6 needs no confirmation; only n = 7 and up is refused
+    assert run_cli("verify", "--oracle-max-n", "6", "--checks", "golden") == 0
+    assert capsys.readouterr().out == "PASS golden: rows 1..8 vs fixture\n"
+    assert run_cli("verify", "--oracle-max-n", "7") == 2
     err = capsys.readouterr().err
     assert err.startswith(VERIFY_USAGE)
     assert "dagdescents verify: error: --oracle-max-n is capped at 6\n" in err
+    assert run_cli("verify", "--oracle-max-n", "6", "--allow-slow") == 2
+    assert ("dagdescents: error: unrecognized arguments: --allow-slow\n"
+            in capsys.readouterr().err)
 
 
 def test_verify_rejects_unknown_check(capsys):
@@ -341,6 +370,24 @@ def test_sigint_during_a_fill_exits_130():
         child.wait()
     assert (child.returncode, stdout, stderr) == (
         130, "", "error: interrupted\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("value", "--n", "9", "--k", "20"),
+    ("table", "--max-n", "10"),
+    ("verify", "--checks", "golden"),
+])
+def test_closed_stdout_pipe_exits_141(argv):
+    # the reader is gone before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "dagdescents", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=python_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
 
 
 def test_negative_cell_exits_1(monkeypatch, capsys):

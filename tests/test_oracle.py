@@ -173,9 +173,7 @@ def test_size_gates():
     with pytest.raises(ValueError):
         enumerate_counts(0)
     with pytest.raises(ValueError):
-        enumerate_counts(6)  # needs allow_slow
-    with pytest.raises(ValueError):
-        enumerate_counts(7, allow_slow=True)  # hard cap
+        enumerate_counts(7)  # n = 6 is the largest
 
 
 def test_merge_with_zeros_is_identity():
