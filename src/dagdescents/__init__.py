@@ -22,10 +22,9 @@ __version__ = "0.1.0"
 #: Public name -> the submodule that defines it, grouped by submodule.
 _EXPORTS = {
     "combinatorics": ("binomial", "gaussian_coeffs", "gaussian_coefficient",
-                      "partition_count", "pow2", "two_factorial"),
+                      "pow2"),
     "engine": ("FAMILIES", "DescentCounter", "labeled_dag_total"),
-    "golden": ("GOLDEN_COUNTS", "GOLDEN_MAX_N", "GOLDEN_TOTALS",
-               "golden_value"),
+    "golden": ("GOLDEN_COUNTS", "GOLDEN_MAX_N", "GOLDEN_TOTALS"),
     "oracle": ("OracleCounts", "enumerate_counts", "subset_pair_histogram"),
     "verify": ("series_identity_check",),
 }

@@ -11,10 +11,11 @@ File layout (one record per line; a header with zero records is legal):
 Each record is "<family> <n> <k> <decimal-value>" with the family drawn
 from the engine's six tags and n at most the engine's ``MAX_N``.  Keys
 must not repeat.  Loading validates the syntax strictly, and applying
-records checks every one against a fill of the counter: nothing read
-from the file is stored.  No CLI command reads or writes these files:
-``value``, ``table`` and ``verify`` fill a cold counter, which is
-faster than loading a snapshot.
+records compares each one with the counter's computed cell, the only
+check a record gets: nothing read from the file is stored.  No CLI
+command reads or writes these files: ``value``, ``table`` and
+``verify`` fill a cold counter, which is faster than loading a
+snapshot.
 """
 from __future__ import annotations
 
@@ -22,25 +23,21 @@ import os
 import sys
 
 from .engine import FAMILIES, MAX_N, DescentCounter
-from .golden import golden_value
 
 HEADER = "DESCENTS-CACHE v1"
 
 
 class CacheError(Exception):
-    """A cache file is corrupt or contradicts known-good values."""
+    """A cache file is corrupt or contradicts the computed cells."""
 
 
 def save_cache(path: str | os.PathLike, counter: DescentCounter) -> int:
     """Write all memoized entries of ``counter``; returns the record count."""
-    lines = [HEADER]
-    count = 0
-    for family, n, k, value in counter.entries():
-        lines.append(f"{family} {n} {k} {value}")
-        count += 1
+    lines = [HEADER] + [f"{family} {n} {k} {value}"
+                        for family, n, k, value in counter.entries()]
     with open(path, "w", encoding="ascii", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
-    return count
+    return len(lines) - 1
 
 
 def load_records(path: str | os.PathLike) -> list[tuple[str, int, int, int]]:
@@ -89,20 +86,11 @@ def apply_records(counter: DescentCounter,
                   records: list[tuple[str, int, int, int]]) -> None:
     """Check validated records against ``counter``'s computed cells.
 
-    Every d record inside the golden fixture's range is compared against
-    the fixture first, so nothing is filled if any record disagrees with
-    known-good values.  Each record is then compared with
-    ``counter.cell``, which fills to the record's level: one at n = 40
-    costs a fill to 40 (17-28 s).  Nothing read is stored.
+    Each record, in order, is compared with ``counter.cell``, which
+    fills to the record's level: one at n = 40 costs a fill to 40
+    (17-28 s).  The first record that differs raises, after the fills
+    for the records before it.  Nothing read is stored.
     """
-    for family, n, k, value in records:
-        if family != "d":
-            continue
-        expected = golden_value(n, k)
-        if expected is not None and value != expected:
-            raise CacheError(f"cache conflicts with known values: "
-                             f"d {n} {k} expected {expected}, "
-                             f"cache has {value}")
     for family, n, k, value in records:
         try:
             computed = counter.cell(family, n, k)

@@ -10,10 +10,11 @@ Three subcommands:
   checks live in the ``verify`` module, which only this subcommand loads.
 
 Each computes from a cold engine.  Exit codes: 0 success, 1 verification
-mismatch or an internal inconsistency (a filled count came out negative
-or broke one of the engine's identities), 2 usage error, including a
-vertex count above ``engine.MAX_N``, 130 interrupted (SIGINT), 141
-stdout closed by its reader (128 + SIGPIPE, nothing on stderr).
+mismatch, an internal inconsistency (a filled count came out negative
+or broke one of the engine's identities) or a failed stdout write, 2
+usage error, including a vertex count above ``engine.MAX_N``, 130
+interrupted (SIGINT), 141 stdout closed by its reader (128 + SIGPIPE,
+nothing on stderr).
 """
 from __future__ import annotations
 
@@ -224,12 +225,15 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
-    except BrokenPipeError:
+    except OSError as exc:  # a write to stdout failed
         # fd 1 goes to devnull, so the flush at exit cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -47,15 +47,18 @@ All three are checked on every level once it fills, and no row of the
 level is stored before they pass, so a wrong cell raises
 ``EngineInconsistency`` instead of reaching an answer or ``entries()``.
 A wrong t, A, B or Cw cell of the level shifts its d row (t through B's
-j = n split) until a d cell goes negative or (i) or (ii) fails; a wrong
-u cell feeds no other row of its level and breaks (iii).  A wrong stored
-d, t or u cell breaks the next level's identities; stored A, B and Cw
-rows feed no later level, so nothing sees them once their level passed.
-Measured by adding 1 to one cell at a time: each of the 29 t, u, A, B
-and Cw cells of level 8 raises at level 8, and each of the 16 stored d,
-t and u cells of level 6 raises at level 7, but none of the stored A, B
-or Cw cells does.  Errors that cancel in u's sum, such as two swapped u
-cells, pass (iii); only an independent per-cell reference catches those.
+j = n split) until a d cell goes negative or (i) fails.  Given the d
+recurrence, (ii) at k >= 1 is (i), so (ii) fails only at k = 0, the one
+guard on Cw(n,0), which no d cell reads.  A wrong u cell feeds no other
+row of its level and breaks (iii).  A wrong stored d, t or u cell breaks
+the next level's identities; stored A, B and Cw rows feed no later
+level, so nothing sees them once their level passed.  Adding 1 to one
+cell at a time, each of the 29 t, u, A, B and Cw cells of level 8 raises
+at level 8, and each of the 16 stored d, t and u cells of level 6 at
+level 7; no stored A, B or Cw cell does.  Of 348 faults (-1, +1 or +7 on
+one level-8 t, A, B or Cw cell), (ii) raised 4, all at k = 0.  Errors
+that cancel in u's sum, such as two swapped u cells, pass (iii); only an
+independent per-cell reference catches those.
 
 The five other families are built a whole row at a time.  Each splits
 the vertices into a set X of j vertices closed under reachability from

@@ -4,8 +4,8 @@
 vertices with exactly k descents; each row runs k = 0..C(n,2).  The row
 sums (``GOLDEN_TOTALS``) are the labeled-DAG counts, OEIS A003024.
 
-These values exist so regressions in the recurrence engine are caught
-against fixed data rather than only against the exhaustive enumerator,
+They let ``verify``'s ``golden`` check and the tests catch engine
+regressions against fixed data, not only the exhaustive enumerator,
 which independently re-derives every row here up to n = 5.  Rows 6..8
 are pinned three further ways: each row sums to the labeled-DAG total
 (an alternating recurrence of its own), an inclusion-exclusion over
@@ -48,15 +48,3 @@ GOLDEN_TOTALS: dict[int, int] = {
     7: 1138779265,
     8: 783702329343,
 }
-
-
-def golden_value(n: int, k: int) -> int | None:
-    """Fixture value for d(n,k), or None when (n,k) is not covered.
-
-    k beyond the row is covered and equals 0 (no DAG on n vertices has
-    more than C(n,2) descents).
-    """
-    row = GOLDEN_COUNTS.get(n)
-    if row is None or k < 0:
-        return None
-    return row[k] if k < len(row) else 0

@@ -15,6 +15,8 @@ from .combinatorics import gaussian_coefficient
 from .engine import FAMILIES, DescentCounter, labeled_dag_total
 from .golden import GOLDEN_COUNTS, GOLDEN_MAX_N
 
+SUBSETS_MAX_N = 8  # ``subsets`` compares the histograms of every n <= this
+
 
 def series_identity_check(degree: int) -> bool:
     """Verify the reciprocal-series identity for DAG totals, exactly.
@@ -77,7 +79,7 @@ def _check_subsets(counter: DescentCounter, args: argparse.Namespace):
 
     return _mismatches((("histogram", n, j, "index", i),
                         gaussian_coefficient(n, j, i), actual)
-                       for n in range(9) for j in range(n + 1)
+                       for n in range(SUBSETS_MAX_N + 1) for j in range(n + 1)
                        for i, actual in enumerate(subset_pair_histogram(n, j)))
 
 
@@ -103,7 +105,7 @@ VERIFY_CHECKS = (
     ("series", _check_series,
      lambda args: f"reciprocal series through degree {args.max_n}"),
     ("subsets", _check_subsets,
-     lambda args: "pair histograms vs coefficients, n <= 8"),
+     lambda args: f"pair histograms vs coefficients, n <= {SUBSETS_MAX_N}"),
     ("oracle", _check_oracle,
      lambda args: (f"six families vs exhaustive enumeration, "
                    f"n <= {args.oracle_max_n}")),

@@ -8,15 +8,14 @@ import json
 import math
 import time
 
+from kernel_reference import partition_count, two_factorial
 from dagdescents import cli
 from dagdescents.cache import apply_records, load_records, save_cache
 from dagdescents.combinatorics import (
     binomial,
     gaussian_coefficient,
     gaussian_coeffs,
-    partition_count,
     pow2,
-    two_factorial,
 )
 from dagdescents.engine import FAMILIES, DescentCounter, labeled_dag_total
 from dagdescents.golden import GOLDEN_COUNTS, GOLDEN_TOTALS

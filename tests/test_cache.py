@@ -130,22 +130,28 @@ def test_duplicate_key(tmp_path):
 
 def test_fixture_conflict_blocks_all_preloading(tmp_path):
     path = tmp_path / "evil.cache"
-    # wrong value last: the conflict scan must run before any fill
+    # wrong value last: it is found by its computed cell, after the
+    # fill for the record before it
     path.write_text(f"{HEADER}\nt 2 0 1\nd 3 1 12\n")
     counter = DescentCounter()
     with pytest.raises(CacheError) as excinfo:
         apply_records(counter, load_records(path))
-    assert "d 3 1 expected 11, cache has 12" in str(excinfo.value)
-    # nothing was filled: only the constructor's base entry remains
-    assert list(counter.entries()) == list(DescentCounter().entries())
+    assert str(excinfo.value) == ("rejected cache entry d 3 1 12: "
+                                  "d(3,1) is 11, not 12")
+    # nothing read was stored: the counter holds computed cells only
+    assert list(counter.entries()) == list(_filled(3).entries())
 
 
 def test_impossible_record_inside_fixture_range(tmp_path):
     path = tmp_path / "bad.cache"
-    # k = 4 > C(3,2): the fixture knows that cell is zero
+    # k = 4 > C(3,2): the computed cell is zero
     path.write_text(f"{HEADER}\nd 3 4 7\n")
-    with pytest.raises(CacheError, match="d 3 4 expected 0, cache has 7"):
-        apply_records(DescentCounter(), load_records(path))
+    counter = DescentCounter()
+    with pytest.raises(CacheError) as excinfo:
+        apply_records(counter, load_records(path))
+    assert str(excinfo.value) == ("rejected cache entry d 3 4 7: "
+                                  "d(3,4) is 0, not 7")
+    assert list(counter.entries()) == list(_filled(3).entries())
 
 
 def test_impossible_record_beyond_fixture_range(tmp_path):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -88,6 +89,14 @@ def test_value_imports_neither_oracle_nor_cache():
     code, added = loaded_modules("verify", "--checks", "golden")
     assert code == 0
     assert {"dagdescents.verify", "dagdescents.golden"} <= set(added)
+
+
+def test_cache_does_not_load_the_golden_fixture():
+    # snapshot records are checked against computed cells, not the fixture
+    result = run_python("-c", "import sys, dagdescents.cache; print("
+                        "'dagdescents.golden' in sys.modules)")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "False\n", "")
 
 
 def test_value_golden(capsys):
@@ -266,6 +275,28 @@ def test_verify_fail_line_names_first_mismatch(check, module, name, fake,
     assert capsys.readouterr().out == f"FAIL {check}: {detail}\n"
 
 
+def test_subsets_scope_and_range_share_one_limit(monkeypatch, capsys):
+    histogram = oracle.subset_pair_histogram
+    levels = set()
+
+    def recording(n, j):
+        levels.add(n)
+        return histogram(n, j)
+
+    monkeypatch.setattr(oracle, "subset_pair_histogram", recording)
+    monkeypatch.setattr(verify, "SUBSETS_MAX_N", 3)
+    assert run_cli("verify", "--checks", "subsets") == 0
+    assert capsys.readouterr().out == (
+        "PASS subsets: pair histograms vs coefficients, n <= 3\n")
+    assert levels == {0, 1, 2, 3}
+
+
+def test_oracle_help_states_the_oracle_cap(capsys):
+    assert run_cli("verify", "--help") == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(default 4, max {oracle.MAX_ORACLE_N})" in help_text
+
+
 def test_check_names_match_the_checks_in_order():
     assert cli.CHECK_NAMES == tuple(name for name, _, _
                                     in verify.VERIFY_CHECKS)
@@ -372,11 +403,15 @@ def test_sigint_during_a_fill_exits_130():
         130, "", "error: interrupted\n")
 
 
-@pytest.mark.parametrize("argv", [
+# one command per subcommand, each writing to stdout
+WRITING_COMMANDS = [
     ("value", "--n", "9", "--k", "20"),
     ("table", "--max-n", "10"),
     ("verify", "--checks", "golden"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS)
 def test_closed_stdout_pipe_exits_141(argv):
     # the reader is gone before the child starts, so every write fails
     read_end, write_end = os.pipe()
@@ -388,6 +423,20 @@ def test_closed_stdout_pipe_exits_141(argv):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this host")
+@pytest.mark.parametrize("argv", WRITING_COMMANDS)
+def test_failed_stdout_write_exits_1(argv):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "dagdescents", *argv], stdout=full,
+            stderr=subprocess.PIPE, text=True, env=python_env(), timeout=60)
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert (result.returncode, result.stderr) == (
+        1, f"error: cannot write stdout: {reason}\n")
 
 
 def test_negative_cell_exits_1(monkeypatch, capsys):

@@ -39,3 +39,18 @@ def test_per_graph_reference_is_not_package_api(name):
     assert name not in dagdescents.__all__
     assert not hasattr(dagdescents, name)
     assert not hasattr(dagdescents.oracle, name)
+
+
+@pytest.mark.parametrize("name", ["golden_value", "partition_count",
+                                  "two_factorial"])
+def test_test_only_names_are_not_package_api(name):
+    # the kernel references live in tests/kernel_reference.py, and
+    # snapshot records are checked against computed cells, not the fixture
+    import dagdescents.combinatorics
+    import dagdescents.golden
+
+    assert name not in dagdescents.__all__
+    assert not hasattr(dagdescents, name)
+    assert not hasattr(dagdescents.combinatorics, name)
+    assert not hasattr(dagdescents.golden, name)
+
