@@ -24,7 +24,7 @@ _EXPORTS = {
     "combinatorics": ("binomial", "gaussian_coeffs", "gaussian_coefficient",
                       "pow2"),
     "engine": ("FAMILIES", "DescentCounter", "labeled_dag_total"),
-    "golden": ("GOLDEN_COUNTS", "GOLDEN_MAX_N", "GOLDEN_TOTALS"),
+    "golden": ("GOLDEN_COUNTS", "GOLDEN_MAX_N"),
     "oracle": ("OracleCounts", "enumerate_counts", "subset_pair_histogram"),
     "verify": ("series_identity_check",),
 }

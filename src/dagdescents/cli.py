@@ -9,16 +9,19 @@ Three subcommands:
   the reciprocal-series identity, and the subset-pair histograms.  The
   checks live in the ``verify`` module, which only this subcommand loads.
 
-Each computes from a cold engine.  Exit codes: 0 success, 1 verification
-mismatch, an internal inconsistency (a filled count came out negative
-or broke one of the engine's identities) or a failed stdout write, 2
-usage error, including a vertex count above ``engine.MAX_N``, 130
-interrupted (SIGINT), 141 stdout closed by its reader (128 + SIGPIPE,
-nothing on stderr).
+Each computes from a cold engine and writes its output, help text
+included, only to stdout.  Numeric options take what ``int()`` takes,
+so ``--n ３`` reads as 3 and ``--n 1_0`` as 10.  Exit codes: 0 success,
+1 verification mismatch, an internal inconsistency (a filled count came
+out negative or broke one of the engine's identities) or a failed
+stdout write (a full device, or fd 1 closed), 2 usage error, including
+a vertex count above ``engine.MAX_N``, 130 interrupted (SIGINT), 141
+stdout closed by its reader (128 + SIGPIPE, nothing on stderr).
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -28,8 +31,6 @@ from .engine import MAX_N, DescentCounter, EngineInconsistency
 # what ``value`` and ``table`` run.  json and the ``verify`` module (its
 # checks, the golden fixture and the oracle) are imported inside the code
 # that uses them.
-
-TABLE_FORMATS = ("csv", "json", "md", "latex")
 
 #: The names of ``verify.VERIFY_CHECKS``, in run order, for the parser.
 CHECK_NAMES = ("golden", "totals", "series", "subsets", "oracle")
@@ -59,8 +60,16 @@ def _positive(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops a failed write of help text; here it raises, so that
+    ``--help`` fails like every other write.  Subparsers share the class."""
+
+    def print_help(self, file=None):
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dagdescents",
         description="Count labeled acyclic digraphs by number of descents "
                     "(edges x->y with x > y).")
@@ -81,10 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max-k", type=_nonnegative, default=None,
                          dest="max_k",
                          help="cap on emitted k columns (default: full rows)")
-    p_table.add_argument("--format", choices=TABLE_FORMATS, default="csv",
+    p_table.add_argument("--format", choices=FORMATTERS, default="csv",
                          help="output format (default csv)")
-    p_table.add_argument("--out", default=None,
-                         help="write to this file instead of stdout")
     p_table.set_defaults(handler=_cmd_table)
 
     p_verify = sub.add_parser(
@@ -194,16 +201,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     rows = DescentCounter().table(args.max_n)
-    text = FORMATTERS[args.format](rows, args.max_k)
-    if args.out is None:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(args.out, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    sys.stdout.write(FORMATTERS[args.format](rows, args.max_k))
     return 0
 
 
@@ -214,9 +212,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        if sys.stdout is None:  # fd 1 was closed before start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.handler(args)
+        except SystemExit as exc:  # --help, or a usage error
+            code = exc.code
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except EngineInconsistency as exc:
@@ -226,10 +229,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: interrupted", file=sys.stderr)
         return 130
     except OSError as exc:  # a write to stdout failed
-        # fd 1 goes to devnull, so the flush at exit cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            # fd 1 goes to devnull, so the flush at exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return 141
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 ``GOLDEN_COUNTS[n][k]`` is the number of labeled acyclic digraphs on n
 vertices with exactly k descents; each row runs k = 0..C(n,2).  The row
-sums (``GOLDEN_TOTALS``) are the labeled-DAG counts, OEIS A003024.
+sums are the labeled-DAG counts, OEIS A003024.
 
 They let ``verify``'s ``golden`` check and the tests catch engine
 regressions against fixed data, not only the exhaustive enumerator,
@@ -36,15 +36,4 @@ GOLDEN_COUNTS: dict[int, tuple[int, ...]] = {
         12741518134, 6328700388, 2846683820, 1155387912, 421001237,
         136799627, 39294726, 9865371, 2133019, 389396, 58400, 6913, 606,
         35, 1),
-}
-
-GOLDEN_TOTALS: dict[int, int] = {
-    1: 1,
-    2: 3,
-    3: 25,
-    4: 543,
-    5: 29281,
-    6: 3781503,
-    7: 1138779265,
-    8: 783702329343,
 }

@@ -128,7 +128,7 @@ def test_duplicate_key(tmp_path):
         load_records(path)
 
 
-def test_fixture_conflict_blocks_all_preloading(tmp_path):
+def test_wrong_record_rejected_after_the_fill_before_it(tmp_path):
     path = tmp_path / "evil.cache"
     # wrong value last: it is found by its computed cell, after the
     # fill for the record before it
@@ -142,7 +142,7 @@ def test_fixture_conflict_blocks_all_preloading(tmp_path):
     assert list(counter.entries()) == list(_filled(3).entries())
 
 
-def test_impossible_record_inside_fixture_range(tmp_path):
+def test_record_past_the_row_rejected_against_zero(tmp_path):
     path = tmp_path / "bad.cache"
     # k = 4 > C(3,2): the computed cell is zero
     path.write_text(f"{HEADER}\nd 3 4 7\n")

@@ -1,5 +1,8 @@
+import contextlib
 import errno
+import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -8,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dagdescents import cli, golden, oracle, verify
 from dagdescents.cache import HEADER
@@ -17,11 +21,8 @@ from dagdescents.oracle import enumerate_counts
 
 
 def run_cli(*argv):
-    """Invoke main(); argparse errors surface as SystemExit(2)."""
-    try:
-        return cli.main(list(argv))
-    except SystemExit as exc:
-        return exc.code
+    """Invoke main(); a usage error or --help returns argparse's exit code."""
+    return cli.main(list(argv))
 
 
 def python_env(**env_vars):
@@ -79,7 +80,7 @@ def test_value_imports_neither_oracle_nor_cache():
     not_for_value = NOT_FOR_VALUE_OR_TABLE + ("dataclasses", "fractions",
                                               "json")
     assert [name for name in not_for_value if name in added] == []
-    for fmt in cli.TABLE_FORMATS:
+    for fmt in cli.FORMATTERS:
         code, added = loaded_modules("table", "--max-n", "5",
                                      "--format", fmt)
         assert code == 0
@@ -122,6 +123,7 @@ def test_value_edges(capsys):
     ("table", "--max-n", "41"),
     ("verify", "--max-n", "41"),
     ("verify", "--oracle-max-n", "41"),
+    ("table", "--max-n", "2", "--out", os.devnull),  # stdout is the output
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -199,21 +201,6 @@ def test_table_latex_total_row(capsys):
     assert lines[-2] == ("TOTAL & 1 & 3 & 25 & 543 & 29281 & 3781503 & "
                          "1138779265 & 783702329343 \\\\")
     assert lines[-1] == "\\end{tabular}"
-
-
-def test_table_out_file_matches_stdout(tmp_path, capsys):
-    assert run_cli("table", "--max-n", "4", "--format", "json") == 0
-    stdout_text = capsys.readouterr().out
-    target = tmp_path / "table.json"
-    assert run_cli("table", "--max-n", "4", "--format", "json",
-                   "--out", str(target)) == 0
-    assert capsys.readouterr().out == ""
-    assert target.read_text() == stdout_text
-
-
-def test_table_out_unwritable(tmp_path, capsys):
-    assert run_cli("table", "--max-n", "2", "--out", str(tmp_path)) == 2
-    assert "cannot write" in capsys.readouterr().err
 
 
 def test_table_rejects_bad_format():
@@ -403,40 +390,70 @@ def test_sigint_during_a_fill_exits_130():
         130, "", "error: interrupted\n")
 
 
-# one command per subcommand, each writing to stdout
+# one command per subcommand, each writing to stdout, and two help texts
 WRITING_COMMANDS = [
     ("value", "--n", "9", "--k", "20"),
     ("table", "--max-n", "10"),
     ("verify", "--checks", "golden"),
+    ("--help",),
+    ("verify", "--help"),
 ]
 
 
+def run_writing(argv, stdout, unbuffered, **popen_args):
+    """Run ``python -m dagdescents argv`` with stdout on ``stdout``, and
+    PYTHONUNBUFFERED set (a failed write raises at once) or removed (it
+    raises at the final flush), whatever this process has."""
+    env = python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "dagdescents", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env=env, timeout=60, **popen_args)
+
+
+def write_error(code):
+    return (f"error: cannot write stdout: [Errno {code}] "
+            f"{os.strerror(code)}\n")
+
+
+# Each stdout test runs both buffering modes in turn, so that its ids
+# stay one per command.
 @pytest.mark.parametrize("argv", WRITING_COMMANDS)
 def test_closed_stdout_pipe_exits_141(argv):
-    # the reader is gone before the child starts, so every write fails
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = subprocess.run(
-            [sys.executable, "-m", "dagdescents", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, env=python_env(), timeout=60)
-    finally:
-        os.close(write_end)
-    assert (result.returncode, result.stderr) == (141, b"")
+    for unbuffered in (True, False):
+        # the reader is gone before the child starts, so every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_writing(argv, write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert (unbuffered, result.returncode, result.stderr) == (
+            unbuffered, 141, "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="no /dev/full on this host")
 @pytest.mark.parametrize("argv", WRITING_COMMANDS)
 def test_failed_stdout_write_exits_1(argv):
-    # every write to /dev/full fails with ENOSPC
-    with open("/dev/full", "wb") as full:
-        result = subprocess.run(
-            [sys.executable, "-m", "dagdescents", *argv], stdout=full,
-            stderr=subprocess.PIPE, text=True, env=python_env(), timeout=60)
-    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-    assert (result.returncode, result.stderr) == (
-        1, f"error: cannot write stdout: {reason}\n")
+    for unbuffered in (True, False):
+        # every write to /dev/full fails with ENOSPC
+        with open("/dev/full", "wb") as full:
+            result = run_writing(argv, full, unbuffered)
+        assert (unbuffered, result.returncode, result.stderr) == (
+            unbuffered, 1, write_error(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS)
+def test_closed_stdout_fd_exits_1(argv):
+    for unbuffered in (True, False):
+        # the child starts with fd 1 closed, so sys.stdout is None
+        result = run_writing(argv, subprocess.DEVNULL, unbuffered,
+                             preexec_fn=lambda: os.close(1))
+        assert (unbuffered, result.returncode, result.stderr) == (
+            unbuffered, 1, write_error(errno.EBADF))
 
 
 def test_negative_cell_exits_1(monkeypatch, capsys):
@@ -478,3 +495,126 @@ def test_missing_env_cache_is_silent(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "1\n"
     assert captured.err == ""
+
+
+# ----------------------------------------------------------------------
+# the exit-code contract over generated argv
+
+def spelled(value, zero):
+    """``value`` in the decimal digits that start at ``zero``."""
+    return "".join(chr(ord(zero) + int(digit)) for digit in str(value))
+
+
+def numbers(top):
+    """Option values: 0..top in spellings that ``int()`` takes, small
+    negatives, and text that is no valid count (41 is past engine.MAX_N;
+    4,301 digits are past Python's int/str limit)."""
+    return st.one_of(
+        st.integers(0, top).map(str),
+        st.integers(0, top).flatmap(lambda value: st.sampled_from([
+            spelled(value, "\uff10"), spelled(value, "\u0660"),
+            "_".join(str(value)), f"+{value}", f" {value} "])),
+        st.sampled_from(["-1", "-3", "", "x", "1.5", "1e3", "0x1", "41",
+                         "9" * 4301, "-" + "9" * 4301]))
+
+
+# every value a vertex count can take is at most 12, and --oracle-max-n
+# at most 4, so that each example runs in milliseconds
+OPTIONS = {
+    "value": {"--n": numbers(12), "--k": numbers(70)},
+    "table": {"--max-n": numbers(12), "--max-k": numbers(70),
+              "--format": st.sampled_from([*cli.FORMATTERS, "yaml", ""])},
+    "verify": {"--max-n": numbers(12), "--oracle-max-n": numbers(4),
+               "--checks": st.lists(st.sampled_from(
+                   [*cli.CHECK_NAMES, "", "frobnicate"]),
+                   max_size=3).map(",".join)},
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and its flags, each given once, twice or not at all,
+    in any order."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options = OPTIONS[command]
+    flags = [flag for flag in options
+             for _ in range(draw(st.sampled_from((1, 1, 0, 2))))]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(options[flag])]
+    return argv
+
+
+def read_table(fmt, text):
+    """``table`` output read back as ({n: counts by k}, {n: TOTAL}).  md
+    and latex have the TOTAL line; their zero padding past C(n,2) is cut."""
+    lines = text.splitlines()
+    if fmt == "json":
+        payload = json.loads(text)
+        assert payload["max_n"] == len(payload["d"])
+        return {int(n): [int(count) for count in row]
+                for n, row in payload["d"].items()}, {}
+    if fmt == "csv":
+        assert lines.pop(0) == "n,k,count"
+        rows = {}
+        for line in lines:
+            n, k, count = map(int, line.split(","))
+            assert k == len(rows.setdefault(n, []))
+            rows[n].append(count)
+        return rows, {}
+    if fmt == "md":
+        del lines[1]  # the rule under the header
+        grid = [line.strip("| ").split(" | ") for line in lines]
+    else:
+        assert lines.pop(0).startswith("\\begin{tabular}{l|")
+        assert lines.pop() == "\\end{tabular}"
+        grid = [line.split(" \\\\")[0].split(" & ") for line in lines
+                if line != "\\hline"]
+    (_, *columns), *body, (total, *totals) = grid
+    assert total == "TOTAL"
+    assert [int(k) for k, *_ in body] == list(range(len(body)))
+    rows = {}
+    for index, n in enumerate(map(int, columns)):
+        cells = [int(line[index + 1]) for line in body]
+        rows[n] = cells[:math.comb(n, 2) + 1]
+        assert not any(cells[len(rows[n]):])
+    return rows, dict(zip(map(int, columns), map(int, totals)))
+
+
+def assert_output_reads_back(args, text):
+    golden_n = range(1, golden.GOLDEN_MAX_N + 1)
+    if args.command == "value":
+        assert text == f"{int(text)}\n"
+        if args.n in golden_n:
+            row = golden.GOLDEN_COUNTS[args.n]
+            assert int(text) == (row[args.k] if args.k < len(row) else 0)
+    elif args.command == "table":
+        rows, totals = read_table(args.format, text)
+        assert list(rows) == list(range(1, args.max_n + 1))
+        cap = None if args.max_k is None else args.max_k + 1
+        for n in golden_n[:args.max_n]:
+            assert rows[n] == list(golden.GOLDEN_COUNTS[n][:cap])
+        for n, total in totals.items():
+            assert total == labeled_dag_total(n)
+    else:
+        requested = {name.strip() for name in args.checks.split(",")}
+        assert [line.split(":")[0] for line in text.splitlines()] == [
+            f"PASS {name}" for name in cli.CHECK_NAMES if name in requested]
+
+
+# every format is read back on every run, whatever is generated
+@example(["table", "--max-n", "9"])
+@example(["table", "--max-n", "9", "--format", "json", "--max-k", "3"])
+@example(["table", "--max-n", "9", "--format", "md", "--max-k", "3"])
+@example(["table", "--max-n", "9", "--format", "latex"])
+@settings(max_examples=80, deadline=None)
+@given(argvs())
+def test_generated_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert_output_reads_back(cli.build_parser().parse_args(argv),
+                                 out.getvalue())
