@@ -36,28 +36,37 @@ from .engine import MAX_N, DescentCounter, EngineInconsistency
 CHECK_NAMES = ("golden", "totals", "series", "subsets", "oracle")
 
 
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _count(low: int, high: int | None = None):
+    """An argparse type: an integer >= low, and <= high unless it is None."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return parse
 
 
-def _vertex_count(text: str) -> int:
-    value = _nonnegative(text)
-    if value > MAX_N:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_N}, got {value}")
-    return value
+def _oracle_depth(text: str) -> int:
+    from .oracle import MAX_ORACLE_N  # only when --oracle-max-n is given
+
+    return _count(1, MAX_ORACLE_N)(text)
 
 
-def _positive(text: str) -> int:
-    value = _vertex_count(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _check_names(text: str) -> tuple[str, ...]:
+    requested = tuple(filter(None, map(str.strip, text.split(","))))
+    valid = f"(valid: {', '.join(CHECK_NAMES)})"
+    if not requested:
+        raise argparse.ArgumentTypeError(f"no checks named {valid}")
+    unknown = [name for name in requested if name not in CHECK_NAMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown checks: {', '.join(unknown)} {valid}")
+    return requested
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,18 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_value = sub.add_parser(
         "value", help="print a single count d(n,k)")
-    p_value.add_argument("--n", type=_vertex_count, required=True,
+    p_value.add_argument("--n", type=_count(0, MAX_N), required=True,
                          help="number of vertices")
-    p_value.add_argument("--k", type=_nonnegative, required=True,
+    p_value.add_argument("--k", type=_count(0), required=True,
                          help="number of descents")
     p_value.set_defaults(handler=_cmd_value)
 
     p_table = sub.add_parser(
         "table", help="emit the table of counts for n = 1..max-n")
-    p_table.add_argument("--max-n", type=_positive, required=True,
-                         dest="max_n", help="largest vertex count")
-    p_table.add_argument("--max-k", type=_nonnegative, default=None,
-                         dest="max_k",
+    p_table.add_argument("--max-n", type=_count(1, MAX_N), required=True,
+                         help="largest vertex count")
+    p_table.add_argument("--max-k", type=_count(0), default=None,
                          help="cap on emitted k columns (default: full rows)")
     p_table.add_argument("--format", choices=FORMATTERS, default="csv",
                          help="output format (default csv)")
@@ -97,17 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify",
         help="cross-check the recurrences against independent ground truth")
-    p_verify.add_argument("--max-n", type=_positive, default=8, dest="max_n",
-                          help="verify totals/series up to this n (default 8)")
-    p_verify.add_argument("--oracle-max-n", type=_positive, default=4,
-                          dest="oracle_max_n",
+    p_verify.add_argument("--max-n", type=_count(1, MAX_N), default=8,
+                          help="check golden (to at most n = 8), totals and "
+                               "series up to this n (default 8)")
+    p_verify.add_argument("--oracle-max-n", type=_oracle_depth, default=4,
                           help="exhaustively enumerate up to this n "
                                "(default 4, max 6)")
-    p_verify.add_argument("--checks", default=",".join(CHECK_NAMES),
+    p_verify.add_argument("--checks", type=_check_names, default=CHECK_NAMES,
                           help="comma-separated subset of: "
                                + ", ".join(CHECK_NAMES))
-    # verify's own usage errors print its usage line, not the top level's
-    p_verify.set_defaults(handler=_cmd_verify, parser=p_verify)
+    p_verify.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -208,10 +215,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run
 
-    return run(args, args.parser)
+    return run(args)
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:  # fd 2 was closed before start-up
+        # left None, print() and argparse would write error text to stdout
+        sys.stderr = open(os.devnull, "w")
     try:
         if sys.stdout is None:  # fd 1 was closed before start-up
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))

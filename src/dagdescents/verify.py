@@ -3,12 +3,14 @@
 Each check recomputes part of the table from a cold engine and compares
 it with an independent source: the golden fixture, the alternating
 labeled-DAG recurrence, the reciprocal-series identity, the subset-pair
-histograms and the exhaustive enumerator.  Only ``verify`` imports this
+histograms and the exhaustive enumerator.  Each ``VERIFY_CHECKS`` row sets
+its check's depth once, and its PASS line reports that depth: golden
+min(--max-n, GOLDEN_MAX_N), totals and series --max-n, subsets a fixed
+SUBSETS_MAX_N, oracle --oracle-max-n.  Only ``verify`` imports this
 module, so ``value`` and ``table`` neither load nor compile it.
 """
 from __future__ import annotations
 
-import argparse
 import math
 
 from .combinatorics import gaussian_coefficient
@@ -44,8 +46,8 @@ def series_identity_check(degree: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# checks: each takes (counter, args) and yields a failure detail string
-# per mismatch, in order; ``run`` reports the first
+# checks: each takes (counter, top), top the deepest n it compares, and
+# yields a failure detail per mismatch, in order; ``run`` reports the first
 
 def _mismatches(cells):
     """``label expected E actual A`` for each (label, expected, actual)
@@ -56,37 +58,36 @@ def _mismatches(cells):
             yield f"{words} expected {expected} actual {actual}"
 
 
-def _check_golden(counter: DescentCounter, args: argparse.Namespace):
-    top = min(args.max_n, GOLDEN_MAX_N)
+def _check_golden(counter: DescentCounter, top: int):
     return _mismatches((("d", n, k), expected, counter.cell("d", n, k))
                        for n in range(1, top + 1)
                        for k, expected in enumerate(GOLDEN_COUNTS[n]))
 
 
-def _check_totals(counter: DescentCounter, args: argparse.Namespace):
+def _check_totals(counter: DescentCounter, top: int):
     return _mismatches((("total", n), labeled_dag_total(n),
                         counter.row_total(n))
-                       for n in range(args.max_n + 1))
+                       for n in range(top + 1))
 
 
-def _check_series(counter: DescentCounter, args: argparse.Namespace):
-    if not series_identity_check(args.max_n):
-        yield f"reciprocal series identity fails by degree {args.max_n}"
+def _check_series(counter: DescentCounter, top: int):
+    if not series_identity_check(top):
+        yield f"reciprocal series identity fails by degree {top}"
 
 
-def _check_subsets(counter: DescentCounter, args: argparse.Namespace):
+def _check_subsets(counter: DescentCounter, top: int):
     from .oracle import subset_pair_histogram
 
     return _mismatches((("histogram", n, j, "index", i),
                         gaussian_coefficient(n, j, i), actual)
-                       for n in range(SUBSETS_MAX_N + 1) for j in range(n + 1)
+                       for n in range(top + 1) for j in range(n + 1)
                        for i, actual in enumerate(subset_pair_histogram(n, j)))
 
 
-def _check_oracle(counter: DescentCounter, args: argparse.Namespace):
+def _check_oracle(counter: DescentCounter, top: int):
     from .oracle import enumerate_counts
 
-    for n in range(1, args.oracle_max_n + 1):
+    for n in range(1, top + 1):
         counts = enumerate_counts(n)
         yield from _mismatches(((family, n, k), counts.cell(family, k),
                                 counter.cell(family, n, k))
@@ -94,50 +95,35 @@ def _check_oracle(counter: DescentCounter, args: argparse.Namespace):
                                for family in FAMILIES)
 
 
-#: The checks in run order: (name, check, scope(args) -> the text after
-#: "PASS name: ").  ``cli.CHECK_NAMES`` lists the same names, in the same
-#: order, for the parser.
+#: The checks in run order: (name, check, depth(args) -> top, scope); the
+#: check runs to ``top`` and its PASS line reads ``scope.format(top)``.
+#: ``cli.CHECK_NAMES`` lists the names, in this order, for the parser.
 VERIFY_CHECKS = (
-    ("golden", _check_golden,
-     lambda args: f"rows 1..{min(args.max_n, GOLDEN_MAX_N)} vs fixture"),
-    ("totals", _check_totals,
-     lambda args: f"row sums vs alternating recurrence, n <= {args.max_n}"),
-    ("series", _check_series,
-     lambda args: f"reciprocal series through degree {args.max_n}"),
-    ("subsets", _check_subsets,
-     lambda args: f"pair histograms vs coefficients, n <= {SUBSETS_MAX_N}"),
-    ("oracle", _check_oracle,
-     lambda args: (f"six families vs exhaustive enumeration, "
-                   f"n <= {args.oracle_max_n}")),
+    ("golden", _check_golden, lambda args: min(args.max_n, GOLDEN_MAX_N),
+     "rows 1..{} vs fixture"),
+    ("totals", _check_totals, lambda args: args.max_n,
+     "row sums vs alternating recurrence, n <= {}"),
+    ("series", _check_series, lambda args: args.max_n,
+     "reciprocal series through degree {}"),
+    ("subsets", _check_subsets, lambda args: SUBSETS_MAX_N,
+     "pair histograms vs coefficients, n <= {}"),
+    ("oracle", _check_oracle, lambda args: args.oracle_max_n,
+     "six families vs exhaustive enumeration, n <= {}"),
 )
 
 
-def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Run the checks ``args.checks`` names, printing one PASS or FAIL
-    line each; usage errors go through ``parser`` (exit 2)."""
-    from .oracle import MAX_ORACLE_N
-
-    names = [name for name, _, _ in VERIFY_CHECKS]
-    valid = ", ".join(names)
-    requested = [name.strip() for name in args.checks.split(",")
-                 if name.strip()]
-    if not requested:
-        parser.error(f"no checks named (valid: {valid})")
-    unknown = [name for name in requested if name not in names]
-    if unknown:
-        parser.error(f"unknown checks: {', '.join(unknown)} "
-                     f"(valid: {valid})")
-    if args.oracle_max_n > MAX_ORACLE_N:
-        parser.error(f"--oracle-max-n is capped at {MAX_ORACLE_N}")
-
+def run(args) -> int:
+    """Run the checks named in ``args.checks``, which the parser has
+    validated, printing one PASS or FAIL line each."""
     counter = DescentCounter()
     failures = 0
-    for name, check, scope in VERIFY_CHECKS:
-        if name not in requested:
+    for name, check, depth, scope in VERIFY_CHECKS:
+        if name not in args.checks:
             continue
-        detail = next(check(counter, args), None)
+        top = depth(args)
+        detail = next(check(counter, top), None)
         if detail is None:
-            print(f"PASS {name}: {scope(args)}")
+            print(f"PASS {name}: {scope.format(top)}")
         else:
             failures += 1
             print(f"FAIL {name}: {detail}")

@@ -262,20 +262,46 @@ def test_verify_fail_line_names_first_mismatch(check, module, name, fake,
     assert capsys.readouterr().out == f"FAIL {check}: {detail}\n"
 
 
-def test_subsets_scope_and_range_share_one_limit(monkeypatch, capsys):
-    histogram = oracle.subset_pair_histogram
-    levels = set()
+class Reads:
+    """Stands in for a check's source, called or indexed by n first, and
+    records each n it is asked for."""
 
-    def recording(n, j):
-        levels.add(n)
-        return histogram(n, j)
+    def __init__(self, source):
+        self.source, self.levels = source, set()
 
-    monkeypatch.setattr(oracle, "subset_pair_histogram", recording)
-    monkeypatch.setattr(verify, "SUBSETS_MAX_N", 3)
-    assert run_cli("verify", "--checks", "subsets") == 0
-    assert capsys.readouterr().out == (
-        "PASS subsets: pair histograms vs coefficients, n <= 3\n")
-    assert levels == {0, 1, 2, 3}
+    def __call__(self, n, *rest):
+        self.levels.add(n)
+        return self.source(n, *rest)
+
+    __getitem__ = __call__
+
+
+# each check at a depth other than the default: the deepest n its source
+# is asked for, and the n its PASS line states, is ``depth``
+@pytest.mark.parametrize("check, module, name, source, argv, depth, scope", [
+    ("golden", verify, "GOLDEN_COUNTS", golden.GOLDEN_COUNTS.__getitem__,
+     ("--max-n", "5"), 5, "rows 1..{} vs fixture"),
+    ("golden", verify, "GOLDEN_COUNTS", golden.GOLDEN_COUNTS.__getitem__,
+     ("--max-n", "10"), golden.GOLDEN_MAX_N, "rows 1..{} vs fixture"),
+    ("totals", verify, "labeled_dag_total", labeled_dag_total,
+     ("--max-n", "5"), 5, "row sums vs alternating recurrence, n <= {}"),
+    ("series", verify, "series_identity_check", verify.series_identity_check,
+     ("--max-n", "5"), 5, "reciprocal series through degree {}"),
+    ("subsets", oracle, "subset_pair_histogram", oracle.subset_pair_histogram,
+     ("--max-n", "5"), verify.SUBSETS_MAX_N,
+     "pair histograms vs coefficients, n <= {}"),
+    ("oracle", oracle, "enumerate_counts", enumerate_counts,
+     ("--oracle-max-n", "3"), 3,
+     "six families vs exhaustive enumeration, n <= {}"),
+], ids=["golden", "golden-capped", "totals", "series", "subsets", "oracle"])
+def test_pass_line_states_the_depth_it_read(check, module, name, source, argv,
+                                            depth, scope, monkeypatch,
+                                            capsys):
+    reads = Reads(source)
+    monkeypatch.setattr(module, name, reads)
+    assert run_cli("verify", "--checks", check, *argv) == 0
+    assert capsys.readouterr().out == f"PASS {check}: {scope.format(depth)}\n"
+    assert max(reads.levels) == depth
 
 
 def test_oracle_help_states_the_oracle_cap(capsys):
@@ -285,8 +311,7 @@ def test_oracle_help_states_the_oracle_cap(capsys):
 
 
 def test_check_names_match_the_checks_in_order():
-    assert cli.CHECK_NAMES == tuple(name for name, _, _
-                                    in verify.VERIFY_CHECKS)
+    assert cli.CHECK_NAMES == tuple(row[0] for row in verify.VERIFY_CHECKS)
 
 
 # verify's usage errors print verify's own usage line, as argparse's do
@@ -300,7 +325,8 @@ def test_verify_gates_full_oracle(capsys):
     assert run_cli("verify", "--oracle-max-n", "7") == 2
     err = capsys.readouterr().err
     assert err.startswith(VERIFY_USAGE)
-    assert "dagdescents verify: error: --oracle-max-n is capped at 6\n" in err
+    assert ("dagdescents verify: error: argument --oracle-max-n: "
+            "must be <= 6, got 7\n" in err)
     assert run_cli("verify", "--oracle-max-n", "6", "--allow-slow") == 2
     assert ("dagdescents: error: unrecognized arguments: --allow-slow\n"
             in capsys.readouterr().err)
@@ -372,13 +398,13 @@ def test_broken_insertion_identity_exits_1():
         "+ B(n,k-1) + A(n,k) fails at n=6, k=15\n")
 
 
-def test_sigint_during_a_fill_exits_130():
-    # value --n 36 fills for several seconds, so the signal lands mid-fill
+def interrupt_a_fill(**popen_args):
+    """(exit code, stdout, stderr) of ``value --n 36``, sent SIGINT after
+    1 s; it fills for several seconds, so the signal lands mid-fill."""
     child = subprocess.Popen(
         [sys.executable, "-m", "dagdescents", "value", "--n", "36",
          "--k", "3"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=python_env())
+        stdout=subprocess.PIPE, text=True, env=python_env(), **popen_args)
     try:
         time.sleep(1)
         child.send_signal(signal.SIGINT)
@@ -386,7 +412,11 @@ def test_sigint_during_a_fill_exits_130():
     finally:
         child.kill()
         child.wait()
-    assert (child.returncode, stdout, stderr) == (
+    return child.returncode, stdout, stderr
+
+
+def test_sigint_during_a_fill_exits_130():
+    assert interrupt_a_fill(stderr=subprocess.PIPE) == (
         130, "", "error: interrupted\n")
 
 
@@ -456,6 +486,20 @@ def test_closed_stdout_fd_exits_1(argv):
             unbuffered, 1, write_error(errno.EBADF))
 
 
+def test_closed_stderr_fd_keeps_error_text_off_stdout():
+    # the child starts with fd 2 closed, so sys.stderr is None; a usage
+    # error and a SIGINT still exit 2 and 130, and their text goes nowhere
+    def close_stderr():
+        os.close(2)
+
+    for argv in (("verify", "--oracle-max-n", "7"),
+                 ("value", "--n", "41", "--k", "0")):
+        result = run_writing(argv, subprocess.PIPE, False,
+                             preexec_fn=close_stderr)
+        assert (argv, result.returncode, result.stdout) == (argv, 2, "")
+    assert interrupt_a_fill(preexec_fn=close_stderr) == (130, "", None)
+
+
 def test_negative_cell_exits_1(monkeypatch, capsys):
     # t(5,1) is 942 in truth; 999 drives d(5,5) negative
     packed_rows = DescentCounter._packed_rows
@@ -519,12 +563,13 @@ def numbers(top):
 
 
 # every value a vertex count can take is at most 12, and --oracle-max-n
-# at most 4, so that each example runs in milliseconds
+# at most 4 or the refused 7, so that each example runs in milliseconds
 OPTIONS = {
     "value": {"--n": numbers(12), "--k": numbers(70)},
     "table": {"--max-n": numbers(12), "--max-k": numbers(70),
               "--format": st.sampled_from([*cli.FORMATTERS, "yaml", ""])},
-    "verify": {"--max-n": numbers(12), "--oracle-max-n": numbers(4),
+    "verify": {"--max-n": numbers(12),
+               "--oracle-max-n": st.one_of(numbers(4), st.just("7")),
                "--checks": st.lists(st.sampled_from(
                    [*cli.CHECK_NAMES, "", "frobnicate"]),
                    max_size=3).map(",".join)},
@@ -597,9 +642,8 @@ def assert_output_reads_back(args, text):
         for n, total in totals.items():
             assert total == labeled_dag_total(n)
     else:
-        requested = {name.strip() for name in args.checks.split(",")}
         assert [line.split(":")[0] for line in text.splitlines()] == [
-            f"PASS {name}" for name in cli.CHECK_NAMES if name in requested]
+            f"PASS {name}" for name in cli.CHECK_NAMES if name in args.checks]
 
 
 # every format is read back on every run, whatever is generated
