@@ -88,7 +88,7 @@ def apply_records(counter: DescentCounter,
 
     Each record, in order, is compared with ``counter.cell``, which
     fills to the record's level: one at n = 40 costs a fill to 40
-    (17-28 s).  The first record that differs raises, after the fills
+    (16-23 s).  The first record that differs raises, after the fills
     for the records before it.  Nothing read is stored.
     """
     for family, n, k, value in records:

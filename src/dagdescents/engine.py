@@ -126,7 +126,7 @@ from .combinatorics import (
 FAMILIES = ("d", "t", "u", "A", "B", "Cw")
 
 #: Largest vertex count the CLI and the cache accept.  Provisional: a
-#: cold fill to n = 40 takes 17-24 s; the ceiling should follow the
+#: cold fill to n = 40 takes 16-23 s; the ceiling should follow the
 #: engine's measured depth once deep fills get faster.
 MAX_N = 40
 
@@ -208,7 +208,14 @@ class DescentCounter:
         size = n * (n - 1) // 2 + 1
         rows = self._packed_rows(n, size)
         t_row, u_row, a_row, b_row, cw_row = rows
-        for k, value in enumerate(t_row):  # B's j = n split
+        # B's j = n split, (n-1) t(n,k), is added to the unpacked rows so
+        # that the t row _packed_rows returns feeds B: d and identity (i)
+        # then check each t cell at its own level.  Folded into
+        # _level_values' B it gives the same entries(), but a wrong t cell
+        # shows only in the row sum (iii), and test_negative_cell_exits_1,
+        # test_guard_catches_every_computed_cell[t] and
+        # test_level_rows_are_exact_above_the_true_counts fail.
+        for k, value in enumerate(t_row):
             b_row[k] += (n - 1) * value
 
         d_prev = self._rows["d"][n - 1]

@@ -8,6 +8,7 @@ import json
 import math
 import time
 
+from faults import bump
 from kernel_reference import partition_count, two_factorial
 from dagdescents import cli
 from dagdescents.cache import apply_records, load_records, save_cache
@@ -168,18 +169,7 @@ def test_criterion_8_cli_golden(tmp_path, capsys, monkeypatch):
     assert "FAIL" not in capsys.readouterr().out
     assert run("verify", "--oracle-max-n", "7") == 2
     capsys.readouterr()
-    packed_rows = DescentCounter._packed_rows
-    bumps = []
-
-    def bumped(self, n, size):
-        rows = packed_rows(self, n, size)
-        t, u, a, b, cw = rows
-        if n == 6:  # A(6,15) + 1: only the guard sees it
-            a[15] += 1
-            bumps.append(n)
-        return rows
-
-    monkeypatch.setattr(DescentCounter, "_packed_rows", bumped)
+    bumps = bump(monkeypatch.setattr, "A", 6, 15)  # only the guard sees it
     assert run("value", "--n", "6", "--k", "3") == 1
     assert bumps == [6]
     captured = capsys.readouterr()

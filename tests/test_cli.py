@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from faults import bump
 from dagdescents import cli, golden, oracle, verify
 from dagdescents.cache import HEADER
 from dagdescents.combinatorics import gaussian_coefficient
-from dagdescents.engine import DescentCounter, labeled_dag_total
+from dagdescents.engine import labeled_dag_total
 from dagdescents.oracle import enumerate_counts
 
 
@@ -25,11 +26,14 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+TESTS = Path(__file__).resolve().parent
+
+
 def python_env(**env_vars):
     """This process's environment plus ``env_vars``, with the package's
-    sources first on PYTHONPATH."""
-    env = dict(os.environ, **env_vars)
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    sources first on PYTHONPATH and every warning an error."""
+    env = dict(os.environ, PYTHONWARNINGS="error", **env_vars)
+    src = str(TESTS.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     return env
@@ -376,21 +380,14 @@ def test_cache_subcommand_is_gone(tmp_path, capsys):
 BUMPED_SCRIPT = """
 import sys
 from dagdescents import cli
-from dagdescents.engine import DescentCounter
-packed_rows = DescentCounter._packed_rows
-def bumped(self, n, size):
-    rows = packed_rows(self, n, size)
-    t, u, a, b, cw = rows
-    if n == 6:
-        a[15] += 1
-    return rows
-DescentCounter._packed_rows = bumped
+from faults import bump
+bump(setattr, "A", 6, 15)
 sys.exit(cli.main(["value", "--n", "9", "--k", "36"]))
 """
 
 
 def test_broken_insertion_identity_exits_1():
-    result = run_python("-c", BUMPED_SCRIPT)
+    result = run_python("-c", BUMPED_SCRIPT, PYTHONPATH=str(TESTS))
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == (
@@ -493,6 +490,7 @@ def test_closed_stderr_fd_keeps_error_text_off_stdout():
         os.close(2)
 
     for argv in (("verify", "--oracle-max-n", "7"),
+                 ("verify", "--checks", "frobnicate"),
                  ("value", "--n", "41", "--k", "0")):
         result = run_writing(argv, subprocess.PIPE, False,
                              preexec_fn=close_stderr)
@@ -502,18 +500,7 @@ def test_closed_stderr_fd_keeps_error_text_off_stdout():
 
 def test_negative_cell_exits_1(monkeypatch, capsys):
     # t(5,1) is 942 in truth; 999 drives d(5,5) negative
-    packed_rows = DescentCounter._packed_rows
-    bumps = []
-
-    def bumped(self, n, size):
-        rows = packed_rows(self, n, size)
-        t, u, a, b, cw = rows
-        if n == 5:
-            t[1] += 57
-            bumps.append(n)
-        return rows
-
-    monkeypatch.setattr(DescentCounter, "_packed_rows", bumped)
+    bumps = bump(monkeypatch.setattr, "t", 5, 1, by=57)
     assert run_cli("value", "--n", "6", "--k", "3") == 1
     assert bumps == [5]
     captured = capsys.readouterr()

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faults import bump
 from kernel_reference import two_factorial
 from test_acceptance import EXPECTED_TOTALS
 from dagdescents import engine, verify
@@ -387,18 +388,7 @@ def test_insertion_guard_catches_a_computed_cell(family, monkeypatch):
     # nothing negative; only the insertion identities can see it
     reference = DescentCounter()
     reference.table(6)
-    packed_rows = DescentCounter._packed_rows
-    bumps = []
-
-    def bumped_once(self, n, size):
-        rows = packed_rows(self, n, size)
-        t, u, a, b, cw = rows
-        if n == 6 and not bumps:
-            {"A": a, "B": b}[family][15] += 1
-            bumps.append(n)
-        return rows
-
-    monkeypatch.setattr(DescentCounter, "_packed_rows", bumped_once)
+    bumps = bump(monkeypatch.setattr, family, 6, 15, once=True)
     counter = DescentCounter()
     with pytest.raises(EngineInconsistency, match="fails at n=6, k=1[56]$"):
         counter.table(6)
@@ -419,21 +409,11 @@ def test_guard_catches_every_computed_cell(family, monkeypatch):
     # Cw shifts the d row, growing sevenfold per k, until a d cell goes
     # negative or an insertion identity fails; u feeds no other row of
     # its level, so only the u/t row-sum identity sees it
-    packed_rows = DescentCounter._packed_rows
-    target = [0]
-
-    def bumped(self, n, size):
-        rows = packed_rows(self, n, size)
-        if n == 8:
-            rows[FAMILIES.index(family) - 1][target[0]] += 1
-        return rows
-
-    monkeypatch.setattr(DescentCounter, "_packed_rows", bumped)
     expected = (r"sum_k u\(n,k\) = sum_k t\(n,k\) fails at n=8$"
                 if family == "u" else r"d\(8,\d+\) = -\d+$|n=8, k=\d+$")
     caught = []
     for k in range(29):
-        target[0] = k
+        bump(monkeypatch.setattr, family, 8, k)
         try:
             DescentCounter().table(8)
         except EngineInconsistency as exc:
