@@ -17,8 +17,6 @@ command reads or writes these files: ``value``, ``table`` and
 ``verify`` fill a cold counter, which is faster than loading a
 snapshot.
 """
-from __future__ import annotations
-
 import os
 import sys
 

@@ -18,8 +18,6 @@ stdout write (a full device, or fd 1 closed), 2 usage error, including
 a vertex count above ``engine.MAX_N``, 130 interrupted (SIGINT), 141
 stdout closed by its reader (128 + SIGPIPE, nothing on stderr).
 """
-from __future__ import annotations
-
 import argparse
 import errno
 import os

@@ -6,8 +6,6 @@ any size.  Out-of-range index arguments follow the usual combinatorial
 conventions (result 0) because the summation domains upstream legitimately
 touch boundary values.
 """
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 

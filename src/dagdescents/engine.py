@@ -109,8 +109,6 @@ Everything is exact integer arithmetic.  Tables fill bottom-up level by
 level (no deep call recursion), so large n cannot exhaust the stack.
 Values are deterministic: any query order produces identical tables.
 """
-from __future__ import annotations
-
 import math
 from typing import Iterator
 

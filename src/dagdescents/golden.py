@@ -14,8 +14,6 @@ the descent recurrences.  Note for anyone diffing against older copies
 of this table floating around: the n=8, k=15 entry is 6328700388 — a
 value ending ...820 instead fails the column-sum check by exactly 432.
 """
-from __future__ import annotations
-
 GOLDEN_MAX_N = 8
 
 GOLDEN_COUNTS: dict[int, tuple[int, ...]] = {

@@ -28,8 +28,6 @@ n=6 has 3,781,503 (0.75 s, quartiles 0.69-0.92 s over 12 runs),
 measured in fresh processes on a 2-core host with Python 3.11.  Larger
 n is refused: n=7 has 1,138,779,265 DAGs, about 300 times as many.
 """
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 from typing import Iterator

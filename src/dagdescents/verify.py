@@ -9,8 +9,6 @@ min(--max-n, GOLDEN_MAX_N), totals and series --max-n, subsets a fixed
 SUBSETS_MAX_N, oracle --oracle-max-n.  Only ``verify`` imports this
 module, so ``value`` and ``table`` neither load nor compile it.
 """
-from __future__ import annotations
-
 import math
 
 from .combinatorics import gaussian_coefficient

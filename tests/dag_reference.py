@@ -14,8 +14,6 @@ pairs (x, y) with x != y, taken in lexicographic order:
 Bit p of the mask is set iff the p-th pair in that order is an edge.
 ``Dag`` masks rely on this order, so it must never change.
 """
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 

@@ -4,8 +4,6 @@
 by a different recurrence, and ``two_factorial`` checks the engine's
 t(n,0).  Neither is package API: the engine runs neither.
 """
-from __future__ import annotations
-
 from functools import lru_cache
 
 
