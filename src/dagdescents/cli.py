@@ -40,6 +40,11 @@ def _count(low: int, high: int | None = None):
         try:
             value = int(text)
         except ValueError:
+            # int() also refuses an integer past the interpreter's int/str
+            # digit limit (Python >= 3.10.7; 0 is no limit)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and sum(map(str.isdecimal, text)) > limit:
+                raise argparse.ArgumentTypeError(f"more than {limit} digits")
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
@@ -151,12 +156,9 @@ def _grid(rows: list[list[int]], max_k: int | None):
     The TOTAL line always sums full rows, even when --max-k hides columns,
     because it reports the number of acyclic digraphs, not a partial sum.
     """
-    height = max(len(row) for row in rows) - 1
-    if max_k is not None:
-        height = min(height, max_k)
-    body = []
-    for k in range(height + 1):
-        body.append([row[k] if k < len(row) else 0 for row in rows])
+    capped = [_capped(row, max_k) for row in rows]
+    body = [[row[k] if k < len(row) else 0 for row in capped]
+            for k in range(max(map(len, capped)))]
     totals = [sum(row) for row in rows]
     return body, totals
 

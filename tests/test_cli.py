@@ -65,7 +65,8 @@ print(code, " ".join(sorted(set(sys.modules) - before)))
 """
 
 NOT_FOR_VALUE_OR_TABLE = ("dagdescents.verify", "dagdescents.golden",
-                          "dagdescents.oracle", "dagdescents.cache")
+                          "dagdescents.oracle", "dagdescents.cache",
+                          "__future__")
 
 
 def loaded_modules(*argv):
@@ -128,10 +129,24 @@ def test_value_edges(capsys):
     ("verify", "--max-n", "41"),
     ("verify", "--oracle-max-n", "41"),
     ("table", "--max-n", "2", "--out", os.devnull),  # stdout is the output
+    ("value", "--n", "9" * 4301, "--k", "0"),  # past int()'s digit limit
+    ("value", "--n", "5", "--k", "9" * 4301),
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_option_past_the_digit_limit_is_named_not_echoed(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run_cli("value", "--n", "5", "--k", "9" * (limit + 1)) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"dagdescents value: error: argument --k: more than {limit} digits")
+    assert run_cli("value", "--n", "5", "--k", "9" * limit) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert run_cli("value", "--n", "5", "--k", "x") == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "dagdescents value: error: argument --k: not an integer: 'x'")
 
 
 def test_vertex_ceiling_is_inclusive():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -5,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import faults
 from faults import bump
 from kernel_reference import two_factorial
 from test_acceptance import EXPECTED_TOTALS
@@ -411,15 +413,43 @@ def test_guard_catches_every_computed_cell(family, monkeypatch):
     # its level, so only the u/t row-sum identity sees it
     expected = (r"sum_k u\(n,k\) = sum_k t\(n,k\) fails at n=8$"
                 if family == "u" else r"d\(8,\d+\) = -\d+$|n=8, k=\d+$")
+    level_7 = DescentCounter()
+    level_7.table(7)
+    true_rows = faults._packed_rows(level_7, 8, 29)
     caught = []
     for k in range(29):
-        bump(monkeypatch.setattr, family, 8, k)
+        bumps = bump(monkeypatch.setattr, family, 8, k)
         try:
             DescentCounter().table(8)
         except EngineInconsistency as exc:
             assert re.search(expected, str(exc)), str(exc)
             caught.append(k)
+        assert bumps == [8]
+        # one fault per case: patching again replaces, never stacks
+        rows = DescentCounter._packed_rows(level_7, 8, 29)
+        assert [(FAMILIES[index + 1], cell, got - true)
+                for index, (row, true_row) in enumerate(zip(rows, true_rows))
+                for cell, (got, true) in enumerate(zip(row, true_row))
+                if got != true] == [(family, k, 1)]
     assert caught == list(range(29))
+
+
+def test_guard_sweep_of_level_8_faults(monkeypatch):
+    # the module docstring's sweep: -1, +1 and +7 on each of the 29
+    # level-8 cells of t, A, B and Cw, 348 faults.  Each raises.  Identity
+    # (ii) raises only at k = 0, the first cell the identities check: for
+    # Cw(8,0), which no d cell reads, and for A(8,0) - 1, which drives no
+    # d cell negative
+    by_identity_ii = []
+    for family, k, by in itertools.product(["t", "A", "B", "Cw"],
+                                           range(29), [-1, 1, 7]):
+        bump(monkeypatch.setattr, family, 8, k, by)
+        with pytest.raises(EngineInconsistency) as raised:
+            DescentCounter().table(8)
+        if str(raised.value).startswith("internal inconsistency: Cw(n,k)"):
+            by_identity_ii.append((family, k, by))
+    assert by_identity_ii == [
+        ("A", 0, -1), ("Cw", 0, -1), ("Cw", 0, 1), ("Cw", 0, 7)]
 
 
 @pytest.mark.parametrize("family, caught", [
