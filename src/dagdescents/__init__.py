@@ -12,8 +12,10 @@ snapshot format, and a CLI.
 The public names below load on first use: importing the package (or
 running ``python -m dagdescents``) imports no submodule, so a command
 only pays for the modules it runs.  ``value`` and ``table`` load
-``cli``, ``engine`` and ``combinatorics``; only ``verify`` loads the
-``verify`` module, the golden fixture and the oracle.
+``cli``, ``engine`` and ``combinatorics``, and no ``typing``; only
+``verify`` loads the ``verify`` module, the golden fixture and the
+oracle.  A test in ``tests/test_cli.py`` pins this in a fresh
+``python -S`` interpreter, where no ``site`` hook preloads a module.
 """
 import importlib
 

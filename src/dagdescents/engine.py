@@ -110,7 +110,7 @@ level (no deep call recursion), so large n cannot exhaust the stack.
 Values are deterministic: any query order produces identical tables.
 """
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .combinatorics import (
     binomial,

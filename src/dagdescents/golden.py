@@ -14,8 +14,6 @@ the descent recurrences.  Note for anyone diffing against older copies
 of this table floating around: the n=8, k=15 entry is 6328700388 — a
 value ending ...820 instead fails the column-sum check by exactly 432.
 """
-GOLDEN_MAX_N = 8
-
 GOLDEN_COUNTS: dict[int, tuple[int, ...]] = {
     1: (1,),
     2: (2, 1),
@@ -35,3 +33,5 @@ GOLDEN_COUNTS: dict[int, tuple[int, ...]] = {
         136799627, 39294726, 9865371, 2133019, 389396, 58400, 6913, 606,
         35, 1),
 }
+
+GOLDEN_MAX_N = max(GOLDEN_COUNTS)

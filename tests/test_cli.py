@@ -51,10 +51,11 @@ def run_python(*args, **env_vars):
 # value
 
 # Runs one command in a fresh interpreter and prints its exit code and
-# the modules it loaded.  Records the modules loaded before the package,
-# so that whatever the host's ``site`` preloads does not count against it.
-# (In-process tests share ``sys.modules``, so only a fresh interpreter can
-# see what a command loads.)
+# the modules it loaded beyond those the interpreter loads before the
+# script.  The interpreter runs with ``-S``: a host's ``site`` hooks (a
+# ``.pth`` file, say) can preload modules such as ``typing``, which would
+# then be subtracted and never seen.  (In-process tests share
+# ``sys.modules``, so only a fresh interpreter can see what a command loads.)
 MODULES_SCRIPT = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -66,13 +67,13 @@ print(code, " ".join(sorted(set(sys.modules) - before)))
 
 NOT_FOR_VALUE_OR_TABLE = ("dagdescents.verify", "dagdescents.golden",
                           "dagdescents.oracle", "dagdescents.cache",
-                          "__future__")
+                          "__future__", "typing")
 
 
 def loaded_modules(*argv):
     """(exit code, modules loaded) of ``cli.main(argv)`` in a fresh
     interpreter."""
-    result = run_python("-c", MODULES_SCRIPT, *argv)
+    result = run_python("-S", "-c", MODULES_SCRIPT, *argv)
     assert result.returncode == 0, result.stderr
     code, *added = result.stdout.split()
     return int(code), added
@@ -92,9 +93,21 @@ def test_value_imports_neither_oracle_nor_cache():
         assert "dagdescents.engine" in added
         assert [name for name in NOT_FOR_VALUE_OR_TABLE
                 if name in added] == [], fmt
-    code, added = loaded_modules("verify", "--checks", "golden")
+
+
+@pytest.mark.parametrize("argv, loads_oracle", [
+    ((), True),
+    (("--checks", "golden,totals,series"), False),
+    (("--checks", "subsets"), True),
+    (("--checks", "oracle"), True),
+])
+def test_verify_loads_the_oracle_only_for_its_checks(argv, loads_oracle):
+    code, added = loaded_modules("verify", *argv)
     assert code == 0
     assert {"dagdescents.verify", "dagdescents.golden"} <= set(added)
+    assert ("dagdescents.oracle" in added) == loads_oracle
+    assert [name for name in ("dagdescents.cache", "json", "typing")
+            if name in added] == []
 
 
 def test_cache_does_not_load_the_golden_fixture():
