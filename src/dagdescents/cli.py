@@ -150,44 +150,32 @@ def format_json(rows: list[list[int]], max_k: int | None) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def _grid(rows: list[list[int]], max_k: int | None):
-    """Shared layout for md/latex: k down the side, n across the top.
-
-    The TOTAL line always sums full rows, even when --max-k hides columns,
-    because it reports the number of acyclic digraphs, not a partial sum.
-    """
+def _grid(rows: list[list[int]], max_k: int | None, corner: str):
+    """The md/latex table, k down and n across, as lines of cells: the
+    header (``corner``, then n = 1..N), one line per k (k, then d(n,k),
+    0 past C(n,2)), and the TOTAL line, which sums full rows even when
+    --max-k hides columns: it reports the number of acyclic digraphs."""
     capped = [_capped(row, max_k) for row in rows]
-    body = [[row[k] if k < len(row) else 0 for row in capped]
+    body = [[k] + [row[k] if k < len(row) else 0 for row in capped]
             for k in range(max(map(len, capped)))]
-    totals = [sum(row) for row in rows]
-    return body, totals
+    lines = [[corner, *range(1, len(rows) + 1)], *body,
+             ["TOTAL", *map(sum, rows)]]
+    return [[str(cell) for cell in line] for line in lines]
 
 
 def format_md(rows: list[list[int]], max_k: int | None) -> str:
-    body, totals = _grid(rows, max_k)
-    header = ["k \\ n"] + [str(n) for n in range(1, len(rows) + 1)]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join([" --- "] + [" ---: "] * len(rows)) + "|"]
-    for k, cells in enumerate(body):
-        lines.append("| " + " | ".join([str(k)] + [str(c) for c in cells])
-                     + " |")
-    lines.append("| TOTAL | " + " | ".join(str(t) for t in totals) + " |")
-    return "\n".join(lines) + "\n"
+    header, *lines = ["| " + " | ".join(cells) + " |"
+                      for cells in _grid(rows, max_k, "k \\ n")]
+    rule = "|" + "|".join([" --- "] + [" ---: "] * len(rows)) + "|"
+    return "\n".join([header, rule, *lines]) + "\n"
 
 
 def format_latex(rows: list[list[int]], max_k: int | None) -> str:
-    body, totals = _grid(rows, max_k)
-    columns = len(rows)
-    lines = ["\\begin{tabular}{l|" + "r" * columns + "}",
-             "$k \\backslash n$ & "
-             + " & ".join(str(n) for n in range(1, columns + 1))
-             + " \\\\ \\hline"]
-    for k, cells in enumerate(body):
-        lines.append(f"{k} & " + " & ".join(str(c) for c in cells) + " \\\\")
-    lines.append("\\hline")
-    lines.append("TOTAL & " + " & ".join(str(t) for t in totals) + " \\\\")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines) + "\n"
+    header, *body, total = [" & ".join(cells) + " \\\\" for cells
+                            in _grid(rows, max_k, "$k \\backslash n$")]
+    return "\n".join(["\\begin{tabular}{l|" + "r" * len(rows) + "}",
+                      header + " \\hline", *body, "\\hline", total,
+                      "\\end{tabular}"]) + "\n"
 
 
 FORMATTERS = {

@@ -46,19 +46,22 @@ have the same sum:
 All three are checked on every level once it fills, and no row of the
 level is stored before they pass, so a wrong cell raises
 ``EngineInconsistency`` instead of reaching an answer or ``entries()``.
-A wrong t, A, B or Cw cell of the level shifts its d row (t through B's
-j = n split) until a d cell goes negative or (i) fails.  Given the d
-recurrence, (ii) at k >= 1 is (i), so (ii) fails only at k = 0, the one
-guard on Cw(n,0), which no d cell reads.  A wrong u cell feeds no other
-row of its level and breaks (iii).  A wrong stored d, t or u cell breaks
-the next level's identities; stored A, B and Cw rows feed no later
-level, so nothing sees them once their level passed.  Adding 1 to one
-cell at a time, each of the 29 t, u, A, B and Cw cells of level 8 raises
-at level 8, and each of the 16 stored d, t and u cells of level 6 at
-level 7; no stored A, B or Cw cell does.  Of 348 faults (-1, +1 or +7 on
-one level-8 t, A, B or Cw cell), (ii) raised 4, all at k = 0.  Errors
-that cancel in u's sum, such as two swapped u cells, pass (iii); only an
-independent per-cell reference catches those.
+(i) is checked at every k >= 1, (ii) at k = 0 only: given the d
+recurrence, (ii) at 1 <= k <= C(n,2) is (i) at the same k, and past the
+row it reads 0 = 0, so k = 0 is its one case, the one guard on Cw(n,0),
+which no d cell reads.  A wrong t, A, B or Cw cell of the level shifts
+its d row (t through B's j = n split) until a d cell goes negative or
+(i) fails.  A wrong u cell feeds no other row of its level and breaks
+(iii).  A wrong stored d, t or u cell breaks the next level's
+identities, except that a negative one, or a nonzero one past the end of
+its row, overflows the packed slots instead; stored A, B and Cw rows
+feed no later level, so nothing sees them once their level passed.
+Adding 1 to one cell at a time, each of the 29 t, u, A, B and Cw cells
+of level 8 raises at level 8, and each of the 16 stored d, t and u cells
+of level 6 at level 7; no stored A, B or Cw cell does.  Of 348 faults
+(-1, +1 or +7 on one level-8 t, A, B or Cw cell), (ii) raised 4, all at
+k = 0.  Errors that cancel in u's sum, such as two swapped u cells, pass
+(iii); only an independent per-cell reference catches those.
 
 The five other families are built a whole row at a time.  Each splits
 the vertices into a set X of j vertices closed under reachability from
@@ -216,29 +219,27 @@ class DescentCounter:
         for k, value in enumerate(t_row):
             b_row[k] += (n - 1) * value
 
-        d_prev = self._rows["d"][n - 1]
-        d_row = [pow2(size - 1)] + [0] * (size - 1)  # 2^C(n,2) at k = 0
+        # d(n-1,k) to k = C(n,2) and A(n,k) to C(n,2)+1, 0 past their rows
+        above = self._rows["d"][n - 1] + [0] * (n - 1)
+        a = a_row + [0]
+        d = [pow2(size - 1)] + [0] * (size - 1)  # 2^C(n,2) at k = 0
         source_ways = pow2(n - 1)
         for k in range(1, size):
-            above = d_prev[k] if k < len(d_prev) else 0
-            value = (source_ways * above + (n - 1) * d_row[k - 1]
-                     - a_row[k - 1] - b_row[k - 1] - cw_row[k])
+            value = (source_ways * above[k] + (n - 1) * d[k - 1]
+                     - a[k - 1] - b_row[k - 1] - cw_row[k])
             if value < 0:
                 raise EngineInconsistency(
                     f"internal inconsistency: d({n},{k}) = {value}")
-            d_row[k] = value
+            d[k] = value
 
-        # The insertion identities (module docstring) on the whole level;
-        # a cell past the end of a row is 0.  No row of the level is
+        # The insertion identities (module docstring) on the whole level:
+        # (ii) at k = 0, (i) at each k >= 1.  No row of the level is
         # stored until all three identities pass, so a level that fails
         # leaves nothing behind and is filled afresh next time.
-        a, b, cw, d, d_prev = (
-            row + [0] * (size + 1 - len(row))
-            for row in (a_row, b_row, cw_row, d_row, d_prev))
         for k in range(size + 1):
-            if k and (n - 1) * d[k - 1] != a[k - 1] + b[k - 1] + a[k]:
+            if k and (n - 1) * d[k - 1] != a[k - 1] + b_row[k - 1] + a[k]:
                 identity = "(n-1) d(n,k-1) = A(n,k-1) + B(n,k-1) + A(n,k)"
-            elif cw[k] != a[k] - d[k] + source_ways * d_prev[k]:
+            elif not k and cw_row[0] != a[0] - d[0] + source_ways * above[0]:
                 identity = "Cw(n,k) = A(n,k) - d(n,k) + 2^(n-1) d(n-1,k)"
             else:
                 continue
@@ -248,7 +249,7 @@ class DescentCounter:
             raise EngineInconsistency(
                 "internal inconsistency: sum_k u(n,k) = sum_k t(n,k) "
                 f"fails at n={n}")
-        for tag, row in zip(FAMILIES, [d_row, *rows]):
+        for tag, row in zip(FAMILIES, [d, *rows]):
             self._rows[tag][n] = row
 
     def _packed_rows(self, n: int, size: int) -> list[list[int]]:

@@ -4,10 +4,10 @@ import io
 import json
 import math
 import os
+import select
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -235,6 +235,45 @@ def test_table_latex_total_row(capsys):
     assert lines[-1] == "\\end{tabular}"
 
 
+def test_table_latex_layout(capsys):
+    assert run_cli("table", "--max-n", "3", "--format", "latex",
+                   "--max-k", "1") == 0
+    assert capsys.readouterr().out == r"""\begin{tabular}{l|rrr}
+$k \backslash n$ & 1 & 2 & 3 \\ \hline
+0 & 1 & 2 & 8 \\
+1 & 0 & 1 & 11 \\
+\hline
+TOTAL & 1 & 3 & 25 \\
+\end{tabular}
+"""
+
+
+def readme_examples():
+    """(argv, lines shown, N of ``| head -N`` or None) for each
+    ``$ dagdescents`` example in README's command-line block."""
+    text = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n\n```sh\n")[1].split("\n```")[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ dagdescents "):
+            command, _, head = line.removeprefix("$ dagdescents ").partition(
+                " | head -")
+            examples.append((command.split(), [], int(head) if head else None))
+        elif line and not line.startswith("#"):
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_command_line_examples(capsys):
+    examples = readme_examples()
+    assert [argv[0] for argv, _, _ in examples] == [
+        "value", "table", "table", "verify"]
+    for argv, shown, head in examples:
+        assert run_cli(*argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert (argv, out[:head]) == (argv, shown)
+
+
 def test_table_rejects_bad_format():
     assert run_cli("table", "--max-n", "2", "--format", "yaml") == 2
 
@@ -386,8 +425,12 @@ def test_verify_ignores_cache_env(tmp_path, monkeypatch, capsys):
     poison.write_text(f"{HEADER}\nd 9 0 1\n")
     monkeypatch.setenv("DESCENTS_CACHE", str(poison))
     assert run_cli("verify", "--checks", "golden,totals",
-                   "--max-n", "8") == 0
-    assert "warning" not in capsys.readouterr().err
+                   "--max-n", "9") == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "PASS golden: rows 1..8 vs fixture\n"
+        "PASS totals: row sums vs alternating recurrence, n <= 9\n")
+    assert captured.err == ""
 
 
 # ----------------------------------------------------------------------
@@ -423,20 +466,49 @@ def test_broken_insertion_identity_exits_1():
         "+ B(n,k-1) + A(n,k) fails at n=6, k=15\n")
 
 
+# Runs ``value --n 36 --k 3`` through the package entry point, after
+# the fd in argv[1] has been taken out of argv; one byte written to that
+# fd says that level 12 has started to fill.
+FILL_STARTED_SCRIPT = """
+import os, runpy, sys
+from dagdescents.engine import DescentCounter
+fd = int(sys.argv.pop(1))
+packed_rows = DescentCounter._packed_rows
+
+def signalling(self, n, size):
+    if n == 12:
+        os.write(fd, b"!")
+    return packed_rows(self, n, size)
+
+DescentCounter._packed_rows = signalling
+runpy.run_module("dagdescents", run_name="__main__")
+"""
+
+
 def interrupt_a_fill(**popen_args):
-    """(exit code, stdout, stderr) of ``value --n 36``, sent SIGINT after
-    1 s; it fills for several seconds, so the signal lands mid-fill."""
-    child = subprocess.Popen(
-        [sys.executable, "-m", "dagdescents", "value", "--n", "36",
-         "--k", "3"],
-        stdout=subprocess.PIPE, text=True, env=python_env(), **popen_args)
+    """(exit code, stdout, stderr) of ``value --n 36 --k 3``, sent SIGINT
+    once level 12 starts; the fill goes on for seconds after that, so the
+    signal lands mid-fill."""
+    read_end, write_end = os.pipe()
     try:
-        time.sleep(1)
+        child = subprocess.Popen(
+            [sys.executable, "-c", FILL_STARTED_SCRIPT, str(write_end),
+             "value", "--n", "36", "--k", "3"],
+            stdout=subprocess.PIPE, text=True, env=python_env(),
+            pass_fds=[write_end], **popen_args)
+    finally:
+        os.close(write_end)
+    try:
+        # b"" if the child exits first, or has not started in 60 s
+        started = (os.read(read_end, 1)
+                   if select.select([read_end], [], [], 60)[0] else b"")
         child.send_signal(signal.SIGINT)
         stdout, stderr = child.communicate(timeout=60)
     finally:
+        os.close(read_end)
         child.kill()
         child.wait()
+    assert started == b"!"
     return child.returncode, stdout, stderr
 
 

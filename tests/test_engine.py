@@ -470,6 +470,23 @@ def test_guard_sweep_of_stored_level_6_cells(family, caught):
     assert raised == caught
 
 
+@pytest.mark.parametrize("family, k, value", [
+    ("u", 3, -1), ("t", 0, -1), ("d", 2, -1), ("t", 11, 1)])
+def test_stored_cell_out_of_its_slot_raises(family, k, value):
+    # a negative stored level-5 cell cannot be packed, and a nonzero one
+    # past the end of its row (t has 11 cells at level 5) carries the
+    # products past level 6's slots; neither reaches the identities, and
+    # nothing from level 6 is stored
+    counter = DescentCounter()
+    counter.table(5)
+    counter._rows[family][5][k:k + 1] = [value]
+    with pytest.raises(EngineInconsistency,
+                       match=r"^internal inconsistency: level 6 does not fit "
+                             r"16 cells of \d+ bytes$"):
+        counter.table(6)
+    assert [tag for tag in FAMILIES if 6 in counter._rows[tag]] == []
+
+
 def test_random_spot_checks_are_stable():
     # belt and braces: a handful of deep cells recomputed twice
     rng = random.Random(20240817)
