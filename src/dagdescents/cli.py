@@ -236,7 +236,3 @@ def main(argv: list[str] | None = None) -> int:
             return 141
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

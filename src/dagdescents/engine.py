@@ -43,8 +43,8 @@ have the same sum:
 
     (iii) sum_k u(n,k) = sum_k t(n,k)
 
-All three are checked on every level once it fills, and no row of the
-level is stored before they pass, so a wrong cell raises
+All three are checked on every level once it fills, and the level is
+appended whole only once they pass, so a wrong cell raises
 ``EngineInconsistency`` instead of reaching an answer or ``entries()``.
 (i) is checked at every k >= 1, (ii) at k = 0 only: given the d
 recurrence, (ii) at 1 <= k <= C(n,2) is (i) at the same k, and past the
@@ -108,8 +108,8 @@ from the true counts would do only while every stored row is right; this
 one keeps a row that a bug made wrong from aliasing too, so the guards
 still see it.
 
-Everything is exact integer arithmetic.  Tables fill bottom-up level by
-level (no deep call recursion), so large n cannot exhaust the stack.
+Everything is exact integer arithmetic.  Levels fill bottom-up (no deep
+call recursion), so large n cannot exhaust the stack.
 Values are deterministic: any query order produces identical tables.
 """
 import math
@@ -141,16 +141,15 @@ class EngineInconsistency(RuntimeError):
 class DescentCounter:
     """Memo-table holder for the six count families.
 
-    Rows fill strictly bottom-up: all six families at vertex count m are
-    completed before level m+1 starts, so every recurrence only ever
-    reads finished rows.  Instances are not thread-safe; confine each to
-    one thread of control.
+    ``_levels[m]`` holds level m's six rows in ``FAMILIES`` order.  A
+    level is appended whole once its checks pass, so levels never skip
+    and every recurrence reads only finished rows.  Instances are not
+    thread-safe; confine each to one thread of control.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[str, dict[int, list[int]]] = {
-            tag: {} for tag in FAMILIES}
-        self._rows["d"][0] = [1]  # the empty graph has zero descents
+        # the empty graph has zero descents; the other families start at 1
+        self._levels: list[tuple[list[int], ...]] = [([1], [], [], [], [], [])]
 
     # ------------------------------------------------------------------
     # public queries
@@ -171,7 +170,7 @@ class DescentCounter:
         if k < 0:
             raise ValueError(f"k must be nonnegative, got {k}")
         self._ensure(n)
-        row = self._rows[family][n]
+        row = self._levels[n][FAMILIES.index(family)]
         return row[k] if k < len(row) else 0
 
     def table(self, n_max: int) -> list[list[int]]:
@@ -179,31 +178,30 @@ class DescentCounter:
         if n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {n_max}")
         self._ensure(n_max)
-        return [list(self._rows["d"][n]) for n in range(1, n_max + 1)]
+        return [list(level[0]) for level in self._levels[1:n_max + 1]]
 
     def row_total(self, n: int) -> int:
         """Sum over k of dag_count(n, k)."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         self._ensure(n)
-        return sum(self._rows["d"][n])
+        return sum(self._levels[n][0])
 
     def entries(self) -> Iterator[tuple[str, int, int, int]]:
-        """All memoized values as (family, n, k, value), deterministic order;
-        the cache file layer writes these."""
-        for tag in FAMILIES:
-            for n in sorted(self._rows[tag]):
-                for k, value in enumerate(self._rows[tag][n]):
+        """All memoized values as (family, n, k, value), by family in
+        ``FAMILIES`` order, then n and k ascending; the cache writes these."""
+        levels = self._levels[:]  # level 0 holds only d's row
+        for index, tag in enumerate(FAMILIES):
+            for n, level in enumerate(levels):
+                for k, value in enumerate(level[index]):
                     yield tag, n, k, value
 
     # ------------------------------------------------------------------
     # internals
 
     def _ensure(self, n: int) -> None:
-        done = self._rows["d"]
-        for level in range(1, n + 1):
-            if level not in done:
-                self._fill_level(level)
+        while len(self._levels) <= n:
+            self._fill_level(len(self._levels))
 
     def _fill_level(self, n: int) -> None:
         size = n * (n - 1) // 2 + 1
@@ -220,7 +218,7 @@ class DescentCounter:
             b_row[k] += (n - 1) * value
 
         # d(n-1,k) to k = C(n,2) and A(n,k) to C(n,2)+1, 0 past their rows
-        above = self._rows["d"][n - 1] + [0] * (n - 1)
+        above = self._levels[n - 1][0] + [0] * (n - 1)
         a = a_row + [0]
         d = [pow2(size - 1)] + [0] * (size - 1)  # 2^C(n,2) at k = 0
         source_ways = pow2(n - 1)
@@ -233,9 +231,9 @@ class DescentCounter:
             d[k] = value
 
         # The insertion identities (module docstring) on the whole level:
-        # (ii) at k = 0, (i) at each k >= 1.  No row of the level is
-        # stored until all three identities pass, so a level that fails
-        # leaves nothing behind and is filled afresh next time.
+        # (ii) at k = 0, (i) at each k >= 1.  The level is appended whole
+        # once all three identities pass, so a level that fails leaves
+        # nothing behind and is filled afresh next time.
         for k in range(size + 1):
             if k and (n - 1) * d[k - 1] != a[k - 1] + b_row[k - 1] + a[k]:
                 identity = "(n-1) d(n,k-1) = A(n,k-1) + B(n,k-1) + A(n,k)"
@@ -249,8 +247,7 @@ class DescentCounter:
             raise EngineInconsistency(
                 "internal inconsistency: sum_k u(n,k) = sum_k t(n,k) "
                 f"fails at n={n}")
-        for tag, row in zip(FAMILIES, [d, *rows]):
-            self._rows[tag][n] = row
+        self._levels.append((d, *rows))
 
     def _packed_rows(self, n: int, size: int) -> list[list[int]]:
         """Level-n rows t, u, A, B and Cw, B without its j = n split, from
@@ -282,8 +279,8 @@ class DescentCounter:
         gets o x R, B (j-1)(1+x) R, Cw o x R - (1+x) R + P_j Q_o W_j."""
         if n == 1:
             return 1, 1, 0, 0, 0  # a lone vertex reaches itself
-        t, u, d = ({m: pack(self._rows[tag][m]) for m in range(1, n)}
-                   for tag in ("t", "u", "d"))
+        t, u, d = ([pack(level[i]) for level in self._levels[:n]]
+                   for i in (1, 2, 0))
         # sums of t, u, o R, (j-1) R, R and P_j Q_o W_j over the splits
         t_sum = u_sum = by_o = by_j = plain = splits = 0
         for j in range(1, n):

@@ -274,7 +274,7 @@ def test_level_rows_are_exact_above_the_true_counts():
     # cells near 10^61, which slots sized from the true counts would alias
     wrong = DescentCounter()
     wrong.table(5)
-    wrong._rows["u"][5] = [10**60 + k for k in range(11)]
+    wrong._levels[5][FAMILIES.index("u")][:] = [10**60 + k for k in range(11)]
     # t(6,.) reads the wrong row, B(6,.) reads t(6,.), and d(6,1) then
     # comes out negative, so no row of level 6 is stored
     with pytest.raises(EngineInconsistency, match=r"d\(6,1\) = -"):
@@ -307,12 +307,27 @@ def test_query_order_does_not_change_tables():
 @settings(max_examples=20, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_query_order_property(rng):
+    # the reference is asked in ascending order before the shuffled
+    # queries, so a value that depends on what was asked first differs
     domain = [(n, k) for n in range(7) for k in range(9)]
+    reference = DescentCounter()
+    expected = {q: reference.dag_count(*q) for q in domain}
     rng.shuffle(domain)
     fresh = DescentCounter()
-    reference = DescentCounter()
     for n, k in domain:
-        assert fresh.dag_count(n, k) == reference.dag_count(n, k)
+        assert fresh.dag_count(n, k) == expected[n, k]
+
+
+def test_entries_order_is_family_then_n_then_k():
+    counter = DescentCounter()
+    for family, n, k in [("d", 5, 3), ("u", 3, 1), ("d", 2, 0), ("Cw", 6, 9)]:
+        counter.cell(family, n, k)
+    counter.table(7)
+    expected = [(tag, n, k, counter.cell(tag, n, k))
+                for tag in FAMILIES
+                for n in range(0 if tag == "d" else 1, 8)
+                for k in range(n * (n - 1) // 2 + 1)]
+    assert list(counter.entries()) == expected
 
 
 def test_argument_validation():
@@ -462,7 +477,7 @@ def test_guard_sweep_of_stored_level_6_cells(family, caught):
     for k in range(16):
         counter = DescentCounter()
         counter.table(6)
-        counter._rows[family][6][k] += 1
+        counter._levels[6][FAMILIES.index(family)][k] += 1
         try:
             counter.table(7)
         except EngineInconsistency:
@@ -479,19 +494,21 @@ def test_stored_cell_out_of_its_slot_raises(family, k, value):
     # nothing from level 6 is stored
     counter = DescentCounter()
     counter.table(5)
-    counter._rows[family][5][k:k + 1] = [value]
+    counter._levels[5][FAMILIES.index(family)][k:k + 1] = [value]
     with pytest.raises(EngineInconsistency,
                        match=r"^internal inconsistency: level 6 does not fit "
                              r"16 cells of \d+ bytes$"):
         counter.table(6)
-    assert [tag for tag in FAMILIES if 6 in counter._rows[tag]] == []
+    assert len(counter._levels) == 6
 
 
 def test_random_spot_checks_are_stable():
-    # belt and braces: a handful of deep cells recomputed twice
+    # belt and braces: a handful of deep cells, against a counter asked
+    # for them in ascending order first
     rng = random.Random(20240817)
     probes = [(rng.randrange(1, 10), rng.randrange(0, 30)) for _ in range(6)]
+    reference = DescentCounter()
+    expected = {q: reference.dag_count(*q) for q in sorted(probes)}
     a = DescentCounter()
-    b = DescentCounter()
     for n, k in probes:
-        assert a.dag_count(n, k) == b.dag_count(n, k)
+        assert a.dag_count(n, k) == expected[n, k]
