@@ -4,10 +4,10 @@ Three subcommands:
 
 - ``value``: print one count d(n,k).
 - ``table``: emit the full triangle up to --max-n as csv, json, md or latex.
-- ``verify``: recompute everything from scratch and cross-check it against
-  the golden fixture, the exhaustive enumerator, the labeled-DAG totals,
-  the reciprocal-series identity, and the subset-pair histograms.  The
-  checks live in the ``verify`` module, which only this subcommand loads.
+- ``verify``: compare a cold engine's cells with the golden fixture, the
+  labeled-DAG totals and the exhaustive enumerator (golden, totals,
+  oracle); series and subsets read no engine cell.  The checks live in
+  the ``verify`` module, which only this subcommand loads.
 
 Each computes from a cold engine and writes its output, help text
 included, only to stdout.  Numeric options take what ``int()`` takes,

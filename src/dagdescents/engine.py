@@ -21,10 +21,12 @@ subset of ascents out of vertex 1, giving 2^(n-1) * d(n-1,k).  If not,
 the graph arises from some k-1-descent graph by inserting one edge
 m -> 1; insertions that would duplicate an edge (A), or close a cycle
 because m was already reachable from 1 (B), are subtracted, and graphs
-reachable through several insertions are compensated by Cw:
+reachable through several insertions are compensated by Cw.  Every
+cell at k = -1 reads 0, so the step runs from k = 0, with no seed:
 
     d(n,k) = 2^(n-1) d(n-1,k) + (n-1) d(n,k-1)
              - A(n,k-1) - B(n,k-1) - Cw(n,k)
+    d(n,0) = 2^(n-1) d(n-1,0) - Cw(n,0) = 2^C(n,2)
 
 Counting the outcomes of those insertions gives the two identities
 behind it.  Each pair (graph with k-1 descents, m) repeats an edge (A),
@@ -43,25 +45,24 @@ have the same sum:
 
     (iii) sum_k u(n,k) = sum_k t(n,k)
 
-All three are checked on every level once it fills, and the level is
+(i) and (iii) are checked on every level once it fills, (i) at every k
+from 0 to C(n,2)+1; given the d recurrence, (ii) at each k is (i) at the
+same k, and past the row it reads 0 = 0, so (ii) follows.  The level is
 appended whole only once they pass, so a wrong cell raises
 ``EngineInconsistency`` instead of reaching an answer or ``entries()``.
-(i) is checked at every k >= 1, (ii) at k = 0 only: given the d
-recurrence, (ii) at 1 <= k <= C(n,2) is (i) at the same k, and past the
-row it reads 0 = 0, so k = 0 is its one case, the one guard on Cw(n,0),
-which no d cell reads.  A wrong t, A, B or Cw cell of the level shifts
-its d row (t through B's j = n split) until a d cell goes negative or
-(i) fails.  A wrong u cell feeds no other row of its level and breaks
-(iii).  A wrong stored d, t or u cell breaks the next level's
-identities, except that a negative one, or a nonzero one past the end of
-its row, overflows the packed slots instead; stored A, B and Cw rows
-feed no later level, so nothing sees them once their level passed.
-Adding 1 to one cell at a time, each of the 29 t, u, A, B and Cw cells
-of level 8 raises at level 8, and each of the 16 stored d, t and u cells
-of level 6 at level 7; no stored A, B or Cw cell does.  Of 348 faults
-(-1, +1 or +7 on one level-8 t, A, B or Cw cell), (ii) raised 4, all at
-k = 0.  Errors that cancel in u's sum, such as two swapped u cells, pass
-(iii); only an independent per-cell reference catches those.
+A wrong t, A, B or Cw cell of the level shifts its d row (t through B's
+j = n split) until a d cell goes negative or (i) fails.  A wrong u cell
+feeds no other row of its level and breaks (iii).  A wrong stored d, t
+or u cell breaks the next level's identities, except that a negative
+one, or a nonzero one past the end of its row, overflows the packed
+slots instead; stored A, B and Cw rows feed no later level, so nothing
+sees them once their level passed.  One +1 at a time, each of the 29 t,
+u, A, B and Cw cells of level 8 raises at level 8, and each of the 16
+stored d, t and u cells of level 6 at level 7; no stored A, B or Cw
+cell does.  Of 348 faults (-1, +1 or +7 on one level-8 t, A, B or Cw
+cell), (i) raised 125 and a negative d cell 223.  Errors that cancel in
+u's sum, such as two swapped u cells, pass (iii); only an independent
+per-cell reference catches those.
 
 The five other families are built a whole row at a time.  Each splits
 the vertices into a set X of j vertices closed under reachability from
@@ -133,9 +134,8 @@ MAX_N = 40
 
 
 class EngineInconsistency(RuntimeError):
-    """A filled cell came out negative or outside its packed slot, or broke
-    an insertion identity or the u/t row-sum identity, so some row was
-    wrong."""
+    """A d cell came out negative, a cell overflowed its packed slot, or a
+    level broke identity (i) or (iii) (module docstring): a row is wrong."""
 
 
 class DescentCounter:
@@ -217,37 +217,32 @@ class DescentCounter:
         for k, value in enumerate(t_row):
             b_row[k] += (n - 1) * value
 
-        # d(n-1,k) to k = C(n,2) and A(n,k) to C(n,2)+1, 0 past their rows
+        # d(n-1,k) to k = C(n,2).  A, B and d of level n end in one zero,
+        # read at k = C(n,2)+1 and, as index -1 wraps to it, at k = -1
         above = self._levels[n - 1][0] + [0] * (n - 1)
-        a = a_row + [0]
-        d = [pow2(size - 1)] + [0] * (size - 1)  # 2^C(n,2) at k = 0
+        a, b, d = a_row + [0], b_row + [0], [0] * (size + 1)
         source_ways = pow2(n - 1)
-        for k in range(1, size):
+        for k in range(size):
             value = (source_ways * above[k] + (n - 1) * d[k - 1]
-                     - a[k - 1] - b_row[k - 1] - cw_row[k])
+                     - a[k - 1] - b[k - 1] - cw_row[k])
             if value < 0:
                 raise EngineInconsistency(
                     f"internal inconsistency: d({n},{k}) = {value}")
             d[k] = value
 
-        # The insertion identities (module docstring) on the whole level:
-        # (ii) at k = 0, (i) at each k >= 1.  The level is appended whole
-        # once all three identities pass, so a level that fails leaves
-        # nothing behind and is filled afresh next time.
+        # Identity (i) (module docstring) at every k; (ii) then follows.
+        # The level is appended whole once (i) and (iii) pass, so a level
+        # that fails leaves nothing behind and is filled afresh next time.
         for k in range(size + 1):
-            if k and (n - 1) * d[k - 1] != a[k - 1] + b_row[k - 1] + a[k]:
-                identity = "(n-1) d(n,k-1) = A(n,k-1) + B(n,k-1) + A(n,k)"
-            elif not k and cw_row[0] != a[0] - d[0] + source_ways * above[0]:
-                identity = "Cw(n,k) = A(n,k) - d(n,k) + 2^(n-1) d(n-1,k)"
-            else:
-                continue
-            raise EngineInconsistency(f"internal inconsistency: {identity} "
-                                      f"fails at n={n}, k={k}")
+            if (n - 1) * d[k - 1] != a[k - 1] + b[k - 1] + a[k]:
+                raise EngineInconsistency(
+                    "internal inconsistency: (n-1) d(n,k-1) = A(n,k-1) + "
+                    f"B(n,k-1) + A(n,k) fails at n={n}, k={k}")
         if sum(u_row) != sum(t_row):
             raise EngineInconsistency(
                 "internal inconsistency: sum_k u(n,k) = sum_k t(n,k) "
                 f"fails at n={n}")
-        self._levels.append((d, *rows))
+        self._levels.append((d[:-1], *rows))  # d without its trailing 0
 
     def _packed_rows(self, n: int, size: int) -> list[list[int]]:
         """Level-n rows t, u, A, B and Cw, B without its j = n split, from

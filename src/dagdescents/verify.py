@@ -1,13 +1,13 @@
 """The ``verify`` subcommand's checks.
 
-Each check recomputes part of the table from a cold engine and compares
-it with an independent source: the golden fixture, the alternating
-labeled-DAG recurrence, the reciprocal-series identity, the subset-pair
-histograms and the exhaustive enumerator.  Each ``VERIFY_CHECKS`` row sets
-its check's depth once, and its PASS line reports that depth: golden
-min(--max-n, GOLDEN_MAX_N), totals and series --max-n, subsets a fixed
-SUBSETS_MAX_N, oracle --oracle-max-n.  Only ``verify`` imports this
-module, so ``value`` and ``table`` neither load nor compile it.
+golden, totals and oracle compare a cold engine's cells with the golden
+fixture, the alternating labeled-DAG recurrence and the exhaustive
+enumerator.  series and subsets read no engine cell: series checks that
+recurrence restated as a reciprocal series, subsets the Gaussian kernel.
+Each ``VERIFY_CHECKS`` row sets its check's depth, which its PASS line
+reports: golden min(--max-n, GOLDEN_MAX_N), totals and series --max-n,
+subsets SUBSETS_MAX_N, oracle --oracle-max-n.  Only ``verify`` imports
+this module, so ``value`` and ``table`` neither load nor compile it.
 """
 import math
 

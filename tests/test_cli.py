@@ -306,30 +306,46 @@ def test_verify_detects_tampered_fixture(monkeypatch, capsys):
     assert "FAIL golden: d 5 2 expected 6699 actual 6698" in out
 
 
-def _bumped_oracle(n):
-    counts = enumerate_counts(n)
-    if n == 3:
-        counts.B[2] += 1
+def _bumped_oracle(family, at_n, k):
+    def counts(n):
+        counts = enumerate_counts(n)
+        if n == at_n:
+            getattr(counts, family)[k] += 1
+        return counts
     return counts
 
 
-@pytest.mark.parametrize("check, module, name, fake, detail", [
+# each fake disagrees in a cell at an end of the range its PASS line
+# claims, or just inside it, so a check that skips that cell passes
+@pytest.mark.parametrize("check, module, name, fake, argv, detail", [
     ("totals", verify, "labeled_dag_total",
-     lambda n: labeled_dag_total(n) + (n == 3),
+     lambda n: labeled_dag_total(n) + (n == 3), (),
      "total 3 expected 26 actual 25"),
-    ("series", verify, "series_identity_check", lambda degree: False,
+    ("series", verify, "series_identity_check", lambda degree: False, (),
      "reciprocal series identity fails by degree 8"),
     ("subsets", verify, "gaussian_coefficient",
      lambda n, j, i: gaussian_coefficient(n, j, i) + ((n, j, i) == (5, 2, 3)),
-     "histogram 5 2 index 3 expected 3 actual 2"),
-    ("oracle", oracle, "enumerate_counts", _bumped_oracle,
+     (), "histogram 5 2 index 3 expected 3 actual 2"),
+    ("oracle", oracle, "enumerate_counts", _bumped_oracle("B", 3, 2), (),
      "B 3 2 expected 2 actual 1"),
-], ids=["totals", "series", "subsets", "oracle"])
+    ("oracle", oracle, "enumerate_counts", _bumped_oracle("d", 3, 3),
+     ("--oracle-max-n", "3"), "d 3 3 expected 2 actual 1"),
+    ("totals", verify, "labeled_dag_total",
+     lambda n: labeled_dag_total(n) + (n == 0), (),
+     "total 0 expected 2 actual 1"),
+    ("subsets", verify, "gaussian_coefficient",
+     lambda n, j, i: gaussian_coefficient(n, j, i) + ((n, j, i) == (5, 5, 0)),
+     (), "histogram 5 5 index 0 expected 2 actual 1"),
+    ("golden", verify, "GOLDEN_COUNTS", {**golden.GOLDEN_COUNTS, 1: (2,)},
+     (), "d 1 0 expected 2 actual 1"),
+], ids=["totals", "series", "subsets", "oracle", "oracle-top-cell",
+        "totals-n0", "subsets-j-equals-n", "golden-n1"])
 def test_verify_fail_line_names_first_mismatch(check, module, name, fake,
-                                               detail, monkeypatch, capsys):
+                                               argv, detail, monkeypatch,
+                                               capsys):
     # each check's source is made to disagree with the engine in one cell
     monkeypatch.setattr(module, name, fake)
-    assert run_cli("verify", "--checks", check) == 1
+    assert run_cli("verify", "--checks", check, *argv) == 1
     assert capsys.readouterr().out == f"FAIL {check}: {detail}\n"
 
 

@@ -330,6 +330,20 @@ def test_entries_order_is_family_then_n_then_k():
     assert list(counter.entries()) == expected
 
 
+def test_table_hands_out_copies():
+    # writing to the rows table() returned leaves the memo as it was
+    counter, fresh = DescentCounter(), DescentCounter()
+    rows = counter.table(5)
+    for row in rows:
+        row[0] = 0
+        row.append(1)
+    for n in range(1, 6):
+        for k in range(n * (n - 1) // 2 + 2):
+            assert counter.dag_count(n, k) == fresh.dag_count(n, k)
+    assert counter.table(5) == fresh.table(5)
+    assert list(counter.entries()) == list(fresh.entries())
+
+
 def test_argument_validation():
     c = DescentCounter()
     with pytest.raises(ValueError):
@@ -451,20 +465,49 @@ def test_guard_catches_every_computed_cell(family, monkeypatch):
 
 def test_guard_sweep_of_level_8_faults(monkeypatch):
     # the module docstring's sweep: -1, +1 and +7 on each of the 29
-    # level-8 cells of t, A, B and Cw, 348 faults.  Each raises.  Identity
-    # (ii) raises only at k = 0, the first cell the identities check: for
-    # Cw(8,0), which no d cell reads, and for A(8,0) - 1, which drives no
-    # d cell negative
-    by_identity_ii = []
+    # level-8 cells of t, A, B and Cw, 348 faults.  Each raises, through
+    # identity (i) or a negative d cell; no check names (ii).  The one
+    # caught at k = 0 is A(8,0) - 1, by (i) there, 0 = A(8,0): it drives
+    # no d cell negative.  A Cw(8,0) fault shifts d(8,0) and the cells
+    # above it, and is caught higher up the row
+    identity = re.escape("(n-1) d(n,k-1) = A(n,k-1) + B(n,k-1) + A(n,k)")
+    caught = {"(i)": 0, "negative": 0}
+    at_k_0 = []
     for family, k, by in itertools.product(["t", "A", "B", "Cw"],
                                            range(29), [-1, 1, 7]):
         bump(monkeypatch.setattr, family, 8, k, by)
         with pytest.raises(EngineInconsistency) as raised:
             DescentCounter().table(8)
-        if str(raised.value).startswith("internal inconsistency: Cw(n,k)"):
-            by_identity_ii.append((family, k, by))
-    assert by_identity_ii == [
-        ("A", 0, -1), ("Cw", 0, -1), ("Cw", 0, 1), ("Cw", 0, 7)]
+        found = re.fullmatch(rf"internal inconsistency: (?:{identity} fails "
+                             r"at n=8, k=(\d+)|d\(8,(\d+)\) = -\d+)",
+                             str(raised.value))
+        assert found, str(raised.value)
+        caught["(i)" if found[1] else "negative"] += 1
+        if (found[1] or found[2]) == "0":
+            at_k_0.append((family, k, by))
+    assert caught == {"(i)": 125, "negative": 223}
+    assert at_k_0 == [("A", 0, -1)]
+
+
+def test_every_computed_fault_of_levels_2_to_7_raises_at_its_level(
+        monkeypatch):
+    # -1, +1 and +7 on each computed t, u, A, B and Cw cell of levels
+    # 2..7, 930 faults: each raises while level n fills, and nothing of
+    # level n is stored.  A Cw(n,0) fault reaches the guards only through
+    # d(n,0), which the d step computes like every other d cell
+    cases = 0
+    for n in range(2, 8):
+        for family, k, by in itertools.product(
+                ["t", "u", "A", "B", "Cw"], range(n * (n - 1) // 2 + 1),
+                [-1, 1, 7]):
+            bumps = bump(monkeypatch.setattr, family, n, k, by)
+            counter = DescentCounter()
+            with pytest.raises(EngineInconsistency):
+                counter.table(n)
+            assert bumps == [n]
+            assert len(counter._levels) == n
+            cases += 1
+    assert cases == 930
 
 
 @pytest.mark.parametrize("family, caught", [
