@@ -41,10 +41,14 @@ def save_cache(path: str | os.PathLike, counter: DescentCounter) -> int:
 def load_records(path: str | os.PathLike) -> list[tuple[str, int, int, int]]:
     """Parse and validate a cache file; raises CacheError on any defect."""
     try:
-        with open(path, "r", encoding="ascii", newline="") as handle:
-            lines = handle.read().splitlines()
+        # universal newlines end a line at LF, CRLF or CR, and nothing
+        # else: str.splitlines() would also split at \f, \v and \x1c-\x1e
+        with open(path, "r", encoding="ascii") as handle:
+            lines = handle.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
+    if lines[-1] == "":
+        lines.pop()  # the empty string after the final newline
     if not lines or lines[0] != HEADER:
         found = lines[0] if lines else "<empty file>"
         raise CacheError(f"bad cache header: expected {HEADER!r}, "

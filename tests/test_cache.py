@@ -83,12 +83,21 @@ def test_truly_empty_file(tmp_path):
     "d 3 1",              # too few fields
     "d 3 1 11 extra",     # too many fields
     "d  3 1 11",          # double space makes an empty field
+    "d 3 1 11\x1cd 3 0 8",  # a file separator ends no line
 ])
 def test_field_count_enforced(tmp_path, line):
     path = tmp_path / "bad.cache"
     path.write_text(f"{HEADER}\n{line}\n")
     with pytest.raises(CacheError, match="line 2"):
         load_records(path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_every_line_ending_loads_alike(tmp_path, ending):
+    path = tmp_path / "memo.cache"
+    path.write_bytes(ending.join([HEADER, "d 0 0 1", "d 1 0 1", ""])
+                     .encode("ascii"))
+    assert load_records(path) == [("d", 0, 0, 1), ("d", 1, 0, 1)]
 
 
 def test_unknown_family(tmp_path):
@@ -104,11 +113,12 @@ def test_unknown_family(tmp_path):
     "d 3 1 1.5",
     "d 3 1 0x11",
     "d three 1 11",
+    "d 3 1 11\x0c",  # a form feed ends no line: the fault is on line 2
 ])
 def test_non_decimal_fields(tmp_path, line):
     path = tmp_path / "bad.cache"
     path.write_text(f"{HEADER}\n{line}\n")
-    with pytest.raises(CacheError, match="decimal"):
+    with pytest.raises(CacheError, match="line 2: fields must be decimal"):
         load_records(path)
 
 

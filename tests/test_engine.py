@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import faults
+from dag_reference import all_dags
 from faults import bump
 from kernel_reference import two_factorial
 from test_acceptance import EXPECTED_TOTALS
@@ -382,6 +383,67 @@ def test_labeled_dag_total_sequence():
         [1, 1, 3, 25, 543, 29281, 3781503, 1138779265, 783702329343]
     with pytest.raises(ValueError):
         labeled_dag_total(-1)
+
+
+def _edge_totals(n_max):
+    """E_n, the edges summed over all labeled DAGs on n vertices, for
+    n = 0..n_max, by Robinson's edge-weighted count: the alternating
+    recurrence with 2 made 1+y,
+
+        a_n(y) = sum_m (-1)^(m+1) C(n,m) (1+y)^(m(n-m)) a_(n-m)(y),
+
+    carried as pairs (a_n(1), a_n'(1)); E_n = a_n'(1)."""
+    pairs = [(1, 0)]
+    for n in range(1, n_max + 1):
+        value = slope = 0
+        for m in range(1, n + 1):
+            e = m * (n - m)
+            a, da = pairs[n - m]
+            weight = (-1) ** (m + 1) * math.comb(n, m)
+            # (1+y)^e is 2^e at y = 1, and its derivative e 2^(e-1)
+            value += weight * 2 ** e * a
+            slope += weight * (2 ** e * da + e * 2 ** e // 2 * a)
+        assert value == labeled_dag_total(n)
+        pairs.append((value, slope))
+    return [slope for _, slope in pairs]
+
+
+def _edge_total_failures(counter, n_max):
+    """(family, n) of each level 1..n_max whose d or A row misses E_n.
+    Reversing the labels swaps descents and ascents, so
+    2 sum_k k d(n,k) = E_n; every vertex has the same total in-degree,
+    so n sum_k A(n,k) = E_n."""
+    totals = _edge_totals(n_max)
+    rows = _stored_rows(counter)
+    failures = []
+    for n in range(1, n_max + 1):
+        if 2 * sum(k * c for k, c in enumerate(rows["d"][n])) != totals[n]:
+            failures.append(("d", n))
+        if n * sum(rows["A"][n]) != totals[n]:
+            failures.append(("A", n))
+    return failures
+
+
+def test_edge_totals():
+    assert _edge_totals(5) == [0, 0, 2, 48, 2016, 176320]
+    assert _edge_totals(4)[1:] == [sum(map(len, all_dags(n)))
+                                   for n in range(1, 5)]
+
+
+def test_descent_and_into_one_sums_match_edge_totals():
+    counter = DescentCounter()
+    counter.table(22)
+    assert _edge_total_failures(counter, 22) == []
+
+
+def test_edge_totals_see_a_stored_a_cell_the_guards_miss():
+    # A(6,5) + 1 stored after level 6 passed feeds no later level, so
+    # filling level 7 raises nothing (see the stored level-6 sweep)
+    counter = DescentCounter()
+    counter.table(6)
+    counter._levels[6][FAMILIES.index("A")][5] += 1
+    counter.table(7)
+    assert _edge_total_failures(counter, 7) == [("A", 6)]
 
 
 # ----------------------------------------------------------------------

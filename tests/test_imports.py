@@ -30,7 +30,8 @@ def test_unknown_attribute_raises():
     assert not hasattr(dagdescents, "no_such_name")
 
 
-@pytest.mark.parametrize("name", ["Dag", "DagStats", "is_acyclic", "stats",
+@pytest.mark.parametrize("name", ["reachable", "all_dags", "per_graph_counts",
+                                  "Dag", "DagStats", "is_acyclic", "stats",
                                   "ordered_pairs"])
 def test_per_graph_reference_is_not_package_api(name):
     # the enumerator's per-graph reference lives in tests/dag_reference.py

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dag_reference import Dag, DagStats, is_acyclic, ordered_pairs, stats
+from dag_reference import all_dags, per_graph_counts, reachable
 from dagdescents.engine import FAMILIES, labeled_dag_total
 from dagdescents.combinatorics import gaussian_coefficient
 from dagdescents.oracle import (
@@ -10,53 +10,6 @@ from dagdescents.oracle import (
     enumerate_counts,
     subset_pair_histogram,
 )
-
-
-def test_pair_ordering_is_lexicographic():
-    assert ordered_pairs(3) == ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
-
-
-def test_dag_edge_round_trip():
-    g = Dag.from_edges(4, [(2, 1), (1, 3), (3, 4)])
-    assert set(g.edges()) == {(2, 1), (1, 3), (3, 4)}
-    assert Dag(4, g.mask).edges() == g.edges()
-
-
-def test_dag_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Dag.from_edges(3, [(1, 1)])  # self-loop unrepresentable
-    with pytest.raises(ValueError):
-        Dag.from_edges(3, [(1, 4)])
-    with pytest.raises(ValueError):
-        Dag(3, 1 << 6)  # only 6 pair bits exist for n=3
-    with pytest.raises(ValueError):
-        Dag(0, 0)
-
-
-def test_dag_is_an_immutable_hashable_value():
-    g = Dag(3, 5)
-    with pytest.raises(AttributeError):
-        g.mask = 6
-    with pytest.raises(AttributeError):
-        g.n = 4
-    assert (g.n, g.mask) == (3, 5)
-    assert g == Dag(3, 5) == Dag.from_edges(3, g.edges())
-    assert g != Dag(3, 6)
-    assert len({g, Dag(3, 5), Dag(3, 6)}) == 2
-
-
-def test_dag_stats_fields_in_order():
-    s = DagStats(2, frozenset({1}), frozenset({1, 3}), frozenset({2, 3}))
-    assert s.descents == 2
-    assert s.reachable_from_lowest == frozenset({1})
-    assert s.reachable_from_highest == frozenset({1, 3})
-    assert s.predecessors_of_lowest == frozenset({2, 3})
-    assert s.descents_into_lowest == 2
-    with pytest.raises(AttributeError):
-        s.descents = 3
-    assert s == stats(Dag.from_edges(3, [(2, 1), (3, 1), (2, 3)]))
-    assert len({s, DagStats(2, frozenset({1}), frozenset({1, 3}),
-                            frozenset({2, 3}))}) == 1
 
 
 def test_oracle_counts_fields_are_the_engine_tags():
@@ -92,34 +45,36 @@ def test_oracle_counts_add_sums_every_table():
         counts + 1
 
 
+def _edge_sets(n):
+    return [set(edges) for edges in all_dags(n)]
+
+
 def test_is_acyclic():
-    assert is_acyclic(Dag.from_edges(3, []))
-    assert is_acyclic(Dag.from_edges(3, [(2, 1), (1, 3)]))
-    assert not is_acyclic(Dag.from_edges(2, [(1, 2), (2, 1)]))
-    assert not is_acyclic(Dag.from_edges(3, [(3, 1), (1, 2), (2, 3)]))
+    assert [len(list(all_dags(n))) for n in range(1, 5)] == [1, 3, 25, 543]
+    assert set() in _edge_sets(3)
+    assert {(2, 1), (1, 3)} in _edge_sets(3)
 
 
 def test_stats_hand_examples():
-    s = stats(Dag.from_edges(3, [(2, 1), (1, 3)]))
-    assert s.descents == 1
-    assert s.reachable_from_lowest == frozenset({1, 3})
-    assert s.descents_into_lowest == 1
-    assert s.predecessors_of_lowest == frozenset({2})
-
-    s = stats(Dag.from_edges(2, []))
-    assert s.descents == 0
-    assert s.reachable_from_lowest == frozenset({1})
-    assert s.reachable_from_highest == frozenset({2})
-
-    s = stats(Dag.from_edges(3, [(1, 3), (3, 2)]))
-    assert s.descents == 1  # 3 -> 2
-    assert s.reachable_from_lowest == frozenset({1, 2, 3})
-    assert s.reachable_from_highest == frozenset({2, 3})
+    # descents, edges into 1, and the reach of 1 and of n, per graph
+    for edges, descents, into_lowest, from_lowest, from_highest in [
+        ([(2, 1), (1, 3)], 1, 1, {1, 3}, {3}),
+        ([], 0, 0, {1}, {3}),
+        ([(1, 3), (3, 2)], 1, 0, {1, 2, 3}, {2, 3}),
+        ([(2, 1), (3, 1), (2, 3)], 2, 2, {1}, {1, 3}),
+    ]:
+        assert set(edges) in _edge_sets(3)
+        assert sum(x > y for x, y in edges) == descents
+        assert sum(y == 1 for x, y in edges) == into_lowest
+        assert reachable(edges, 1) == from_lowest
+        assert reachable(edges, 3) == from_highest
 
 
 def test_stats_rejects_cycles():
-    with pytest.raises(ValueError):
-        stats(Dag.from_edges(2, [(1, 2), (2, 1)]))
+    # no edge set holding a cycle is yielded, with or without other edges
+    for cycle in ({(1, 2), (2, 1)}, {(3, 1), (1, 2), (2, 3)}):
+        assert not any(cycle <= edges for edges in _edge_sets(3))
+    assert not any({(1, 2), (2, 1)} <= edges for edges in _edge_sets(2))
 
 
 def test_two_vertex_tables():
@@ -187,24 +142,9 @@ def test_merge_rejects_different_n():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_fast_path_agrees_with_per_graph_stats(n):
-    """The direct enumerator must tally exactly what stats() reports over
-    every edge mask."""
-    slow = OracleCounts.zeros(n)
-    for mask in range(1 << (n * (n - 1))):
-        g = Dag(n, mask)
-        if not is_acyclic(g):
-            continue
-        s = stats(g)
-        k = s.descents
-        slow.d[k] += 1
-        if len(s.reachable_from_lowest) == n:
-            slow.t[k] += 1
-        if len(s.reachable_from_highest) == n:
-            slow.u[k] += 1
-        slow.A[k] += len(s.predecessors_of_lowest)
-        slow.B[k] += len(s.reachable_from_lowest) - 1
-        slow.Cw[k] += max(s.descents_into_lowest - 1, 0)
-    assert slow == enumerate_counts(n)
+    """The direct enumerator tallies exactly what the per-graph reference
+    reads off every acyclic edge set, in all six families."""
+    assert per_graph_counts(n) == enumerate_counts(n)
 
 
 @pytest.mark.parametrize("n, edges, reached, spanning", [
