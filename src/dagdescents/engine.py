@@ -50,19 +50,21 @@ from 0 to C(n,2)+1; given the d recurrence, (ii) at each k is (i) at the
 same k, and past the row it reads 0 = 0, so (ii) follows.  The level is
 appended whole only once they pass, so a wrong cell raises
 ``EngineInconsistency`` instead of reaching an answer or ``entries()``.
-A wrong t, A, B or Cw cell of the level shifts its d row (t through B's
-j = n split) until a d cell goes negative or (i) fails.  A wrong u cell
-feeds no other row of its level and breaks (iii).  A wrong stored d, t
-or u cell breaks the next level's identities, except that a negative
-one, or a nonzero one past the end of its row, overflows the packed
-slots instead; stored A, B and Cw rows feed no later level, so nothing
-sees them once their level passed.  One +1 at a time, each of the 29 t,
-u, A, B and Cw cells of level 8 raises at level 8, and each of the 16
-stored d, t and u cells of level 6 at level 7; no stored A, B or Cw
-cell does.  Of 348 faults (-1, +1 or +7 on one level-8 t, A, B or Cw
-cell), (i) raised 125 and a negative d cell 223.  Errors that cancel in
-u's sum, such as two swapped u cells, pass (iii); only an independent
-per-cell reference catches those.
+A wrong A, B or Cw cell of the level shifts its d row until a d cell
+goes negative or (i) fails.  A t or u cell made wrong after the pass
+feeds no other row of its level and breaks (iii); a fault in t's own
+computation reaches B within the pass, and d through it.  A wrong
+stored d, t or u cell breaks the next level's identities, except that a
+negative one, or a nonzero one past the end of its row, overflows the
+packed slots instead; stored A, B and Cw rows feed no later level, so
+nothing sees them once their level passed.  One +1 at a time, each of
+the 29 t, u, A, B and Cw cells of level 8 raises at level 8, and each
+of the 16 stored d, t and u cells of level 6 at level 7; no stored A, B
+or Cw cell does.  Of 435 faults (-1, +1 or +7 on one level-8 t, u, A, B
+or Cw cell), (iii) raised 174, (i) 94 and a negative d cell 167.
+Errors that cancel in t's or u's row sum, such as two swapped cells
+injected after the pass, pass (iii); only an independent per-cell
+reference catches those.
 
 The five other families are built a whole row at a time.  Each splits
 the vertices into a set X of j vertices closed under reachability from
@@ -100,14 +102,13 @@ cell by cell (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44,
 2009): each stored row packs into one integer with a w-bit slot per
 cell, each product above is one big-integer multiply, W_j follows by
 Horner's rule in 1+x, and the result's slots are the level's cells.
-One pass over j < n gives all five rows; B's j = n term is added cell by
-cell once t is unpacked.  The same pass run at x = 1 first gives w: all
-weights and cross polynomials have nonnegative coefficients, so no cell
-exceeds its row's value at 1, and w one bit wider than the largest such
-value cannot alias, whatever the stored input rows hold.  A bound taken
-from the true counts would do only while every stored row is right; this
-one keeps a row that a bug made wrong from aliasing too, so the guards
-still see it.
+One pass gives all five rows, B's j = n term included.  The same pass
+run at x = 1 first gives w: all weights and cross polynomials have
+nonnegative coefficients, so no cell exceeds its row's value at 1, and
+w one bit wider than the largest such value cannot alias, whatever the
+stored input rows hold.  A bound taken from the true counts would do
+only while every stored row is right; this one keeps a row that a bug
+made wrong from aliasing too, so the guards still see it.
 
 Everything is exact integer arithmetic.  Levels fill bottom-up (no deep
 call recursion), so large n cannot exhaust the stack.
@@ -207,16 +208,6 @@ class DescentCounter:
         size = n * (n - 1) // 2 + 1
         rows = self._packed_rows(n, size)
         t_row, u_row, a_row, b_row, cw_row = rows
-        # B's j = n split, (n-1) t(n,k), is added to the unpacked rows so
-        # that the t row _packed_rows returns feeds B: d and identity (i)
-        # then check each t cell at its own level.  Folded into
-        # _level_values' B it gives the same entries(), but a wrong t cell
-        # shows only in the row sum (iii), and test_negative_cell_exits_1,
-        # test_guard_catches_every_computed_cell[t] and
-        # test_level_rows_are_exact_above_the_true_counts fail.
-        for k, value in enumerate(t_row):
-            b_row[k] += (n - 1) * value
-
         # d(n-1,k) to k = C(n,2).  A, B and d of level n end in one zero,
         # read at k = C(n,2)+1 and, as index -1 wraps to it, at k = -1
         above = self._levels[n - 1][0] + [0] * (n - 1)
@@ -245,9 +236,9 @@ class DescentCounter:
         self._levels.append((d[:-1], *rows))  # d without its trailing 0
 
     def _packed_rows(self, n: int, size: int) -> list[list[int]]:
-        """Level-n rows t, u, A, B and Cw, B without its j = n split, from
-        ``_level_values`` at x = 2^w.  A run at x = 1 bounds every cell
-        (module docstring), and each cell gets a slot of whole bytes."""
+        """Level-n rows t, u, A, B and Cw from ``_level_values`` at
+        x = 2^w.  A run at x = 1 bounds every cell (module docstring), and
+        each cell gets a slot of whole bytes."""
         bound = max(self._level_values(n, 0, sum))
         width = bound.bit_length() // 8 + 1  # bytes per cell
 
@@ -266,12 +257,13 @@ class DescentCounter:
                  for k in range(0, size * width, width)] for row in data]
 
     def _level_values(self, n: int, w: int, pack) -> tuple[int, ...]:
-        """t_n, u_n, A_n, B_n (without j = n) and Cw_n at x = 2^w, given
-        ``pack`` for a stored row (see the module docstring).
+        """t_n, u_n, A_n, B_n and Cw_n at x = 2^w, given ``pack`` for a
+        stored row (see the module docstring).
 
         For t, X is the set reachable from vertex n: u on X, t on Y.  For
         the others X is reachable from vertex 1: t on X, u or d on Y.  A
-        gets o x R, B (j-1)(1+x) R, Cw o x R - (1+x) R + P_j Q_o W_j."""
+        gets o x R, Cw o x R - (1+x) R + P_j Q_o W_j, and B (j-1)(1+x) R
+        plus (n-1) t_n at j = n."""
         if n == 1:
             return 1, 1, 0, 0, 0  # a lone vertex reaches itself
         t, u, d = ([pack(level[i]) for level in self._levels[:n]]
@@ -297,7 +289,8 @@ class DescentCounter:
             by_j += (j - 1) * r
             plain += r
             splits += split
-        return (t_sum, u_sum, by_o << w, by_j + (by_j << w),
+        return (t_sum, u_sum, by_o << w,
+                by_j + (by_j << w) + (n - 1) * t_sum,
                 (by_o << w) - plain - (plain << w) + splits)
 
 

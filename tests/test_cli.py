@@ -615,8 +615,8 @@ def test_closed_stderr_fd_keeps_error_text_off_stdout():
 
 
 def test_negative_cell_exits_1(monkeypatch, capsys):
-    # t(5,1) is 942 in truth; 999 drives d(5,5) negative
-    bumps = bump(monkeypatch.setattr, "t", 5, 1, by=57)
+    # Cw(5,1) is 0 in truth; 57 drives d(5,5) negative
+    bumps = bump(monkeypatch.setattr, "Cw", 5, 1, by=57)
     assert run_cli("value", "--n", "6", "--k", "3") == 1
     assert bumps == [5]
     captured = capsys.readouterr()

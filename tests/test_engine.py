@@ -283,9 +283,8 @@ def test_level_rows_are_exact_above_the_true_counts():
     rows = _stored_rows(wrong)
     assert rows["u"][5] == [10**60 + k for k in range(11)]
     assert all(6 not in by_n for by_n in rows.values())
-    # the level's rows as the kernel builds them, with B's j = n split
+    # the level's rows as the kernel builds them
     level = dict(zip(FAMILIES[1:], wrong._packed_rows(6, 16)))
-    level["B"] = [b + 5 * t for b, t in zip(level["B"], level["t"])]
     rows["t"][6] = level["t"]
     expected = _level_by_row_formula(rows, 6)
     assert expected["t"][0] > 10**61
@@ -331,6 +330,18 @@ def test_entries_order_is_family_then_n_then_k():
     assert list(counter.entries()) == expected
 
 
+def test_entries_streams_the_levels_it_started_with():
+    # levels filled while the stream is read do not join it: the rest of
+    # the stream is that of a counter filled only to where it started
+    counter, fresh = DescentCounter(), DescentCounter()
+    counter.table(5)
+    fresh.table(5)
+    stream = counter.entries()
+    first = next(stream)
+    counter.table(7)
+    assert [first, *stream] == list(fresh.entries())
+
+
 def test_table_hands_out_copies():
     # writing to the rows table() returned leaves the memo as it was
     counter, fresh = DescentCounter(), DescentCounter()
@@ -364,7 +375,7 @@ def test_argument_validation():
 def test_series_identity_holds_through_degree_8():
     for degree in range(9):
         assert series_identity_check(degree)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
         series_identity_check(-1)
 
 
@@ -481,7 +492,7 @@ def test_insertion_guard_catches_a_computed_cell(family, monkeypatch):
     # nothing negative; only the insertion identities can see it
     reference = DescentCounter()
     reference.table(6)
-    bumps = bump(monkeypatch.setattr, family, 6, 15, once=True)
+    bumps = bump(monkeypatch.setattr, family, 6, 15)
     counter = DescentCounter()
     with pytest.raises(EngineInconsistency, match="fails at n=6, k=1[56]$"):
         counter.table(6)
@@ -490,7 +501,9 @@ def test_insertion_guard_catches_a_computed_cell(family, monkeypatch):
     filled_to_5 = DescentCounter()
     filled_to_5.table(5)
     assert list(counter.entries()) == list(filled_to_5.entries())
-    # the failed level is not kept: the next query fills it afresh
+    # the failed level is not kept: with the fault gone, the next query
+    # fills it afresh
+    monkeypatch.undo()
     assert counter.table(6) == reference.table(6)
     assert list(counter.entries()) == list(reference.entries())
 
@@ -498,12 +511,12 @@ def test_insertion_guard_catches_a_computed_cell(family, monkeypatch):
 @pytest.mark.parametrize("family", ["t", "u", "A", "B", "Cw"])
 def test_guard_catches_every_computed_cell(family, monkeypatch):
     # a +1 on any one of the 29 freshly computed cells of a level-8 row
-    # must raise at level 8.  One on t (through B's j = n split), A, B or
-    # Cw shifts the d row, growing sevenfold per k, until a d cell goes
-    # negative or an insertion identity fails; u feeds no other row of
-    # its level, so only the u/t row-sum identity sees it
+    # must raise at level 8.  One on A, B or Cw shifts the d row, growing
+    # sevenfold per k, until a d cell goes negative or an insertion
+    # identity fails; t and u, bumped after the pass, feed no other row
+    # of their level, so only the u/t row-sum identity sees them
     expected = (r"sum_k u\(n,k\) = sum_k t\(n,k\) fails at n=8$"
-                if family == "u" else r"d\(8,\d+\) = -\d+$|n=8, k=\d+$")
+                if family in ("t", "u") else r"d\(8,\d+\) = -\d+$|n=8, k=\d+$")
     level_7 = DescentCounter()
     level_7.table(7)
     true_rows = faults._packed_rows(level_7, 8, 29)
@@ -527,27 +540,30 @@ def test_guard_catches_every_computed_cell(family, monkeypatch):
 
 def test_guard_sweep_of_level_8_faults(monkeypatch):
     # the module docstring's sweep: -1, +1 and +7 on each of the 29
-    # level-8 cells of t, A, B and Cw, 348 faults.  Each raises, through
-    # identity (i) or a negative d cell; no check names (ii).  The one
-    # caught at k = 0 is A(8,0) - 1, by (i) there, 0 = A(8,0): it drives
-    # no d cell negative.  A Cw(8,0) fault shifts d(8,0) and the cells
-    # above it, and is caught higher up the row
+    # level-8 cells of t, u, A, B and Cw, 435 faults.  Each raises,
+    # through identity (i) or (iii) or a negative d cell; no check names
+    # (ii).  The t and u faults, injected after the pass, break (iii).
+    # The one caught at k = 0 is A(8,0) - 1, by (i) there, 0 = A(8,0): it
+    # drives no d cell negative.  A Cw(8,0) fault shifts d(8,0) and the
+    # cells above it, and is caught higher up the row
     identity = re.escape("(n-1) d(n,k-1) = A(n,k-1) + B(n,k-1) + A(n,k)")
-    caught = {"(i)": 0, "negative": 0}
+    sums = re.escape("sum_k u(n,k) = sum_k t(n,k)")
+    caught = {"(i)": 0, "(iii)": 0, "negative": 0}
     at_k_0 = []
-    for family, k, by in itertools.product(["t", "A", "B", "Cw"],
+    for family, k, by in itertools.product(["t", "u", "A", "B", "Cw"],
                                            range(29), [-1, 1, 7]):
         bump(monkeypatch.setattr, family, 8, k, by)
         with pytest.raises(EngineInconsistency) as raised:
             DescentCounter().table(8)
         found = re.fullmatch(rf"internal inconsistency: (?:{identity} fails "
-                             r"at n=8, k=(\d+)|d\(8,(\d+)\) = -\d+)",
-                             str(raised.value))
+                             r"at n=8, k=(\d+)|d\(8,(\d+)\) = -\d+|"
+                             rf"({sums}) fails at n=8)", str(raised.value))
         assert found, str(raised.value)
-        caught["(i)" if found[1] else "negative"] += 1
+        caught["(i)" if found[1] else "(iii)" if found[3]
+               else "negative"] += 1
         if (found[1] or found[2]) == "0":
             at_k_0.append((family, k, by))
-    assert caught == {"(i)": 125, "negative": 223}
+    assert caught == {"(i)": 94, "(iii)": 174, "negative": 167}
     assert at_k_0 == [("A", 0, -1)]
 
 
