@@ -53,18 +53,18 @@ appended whole only once they pass, so a wrong cell raises
 A wrong A, B or Cw cell of the level shifts its d row until a d cell
 goes negative or (i) fails.  A t or u cell made wrong after the pass
 feeds no other row of its level and breaks (iii); a fault in t's own
-computation reaches B within the pass, and d through it.  A wrong
-stored d, t or u cell breaks the next level's identities, except that a
+computation reaches B within the pass, and d through it.  A wrong stored
+d, t or u cell breaks the next level's identities, except that a
 negative one, or a nonzero one past the end of its row, overflows the
 packed slots instead; stored A, B and Cw rows feed no later level, so
-nothing sees them once their level passed.  One +1 at a time, each of
-the 29 t, u, A, B and Cw cells of level 8 raises at level 8, and each
-of the 16 stored d, t and u cells of level 6 at level 7; no stored A, B
-or Cw cell does.  Of 435 faults (-1, +1 or +7 on one level-8 t, u, A, B
-or Cw cell), (iii) raised 174, (i) 94 and a negative d cell 167.
-Errors that cancel in t's or u's row sum, such as two swapped cells
-injected after the pass, pass (iii); only an independent per-cell
-reference catches those.
+nothing sees them once their level passed.  A +1 on any level-8 t, u, A,
+B or Cw cell raises at level 8, and on a stored level-6 d, t or u cell
+at level 7; -1, +1 or +7 on a level-8 cell raises by (iii), (i) or a
+negative d cell.  ``test_guard_catches_every_computed_cell``,
+``test_guard_sweep_of_stored_level_6_cells`` and
+``test_guard_sweep_of_level_8_faults`` count these.  Errors that cancel
+in t's or u's row sum, such as two swapped cells injected after the
+pass, pass (iii); only an independent per-cell reference catches those.
 
 The five other families are built a whole row at a time.  Each splits
 the vertices into a set X of j vertices closed under reachability from

@@ -59,7 +59,7 @@ class OracleCounts(namedtuple("OracleCounts",
 
     @property
     def by_descents(self) -> list[int]:
-        """Alias of the ``d`` row."""
+        """The ``d`` row; perfbench's traced oracle probe reads it."""
         return self.d
 
     def __add__(self, other: "OracleCounts") -> "OracleCounts":
@@ -70,15 +70,6 @@ class OracleCounts(namedtuple("OracleCounts",
         return OracleCounts(self.n, *(
             [x + y for x, y in zip(mine, theirs)]
             for mine, theirs in zip(self[1:], other[1:])))
-
-    def cell(self, family: str, k: int) -> int:
-        """Cell (n, k) of the row tagged ``family``; 0 past k = C(n,2)."""
-        if family not in self._fields[1:]:
-            raise ValueError(f"unknown family {family!r}")
-        if k < 0:
-            raise ValueError(f"k must be nonnegative, got {k}")
-        row = getattr(self, family)
-        return row[k] if k < len(row) else 0
 
 
 def enumerate_counts(n: int) -> OracleCounts:
@@ -195,7 +186,7 @@ def subset_pair_histogram(n: int, j: int) -> list[int]:
     independent check that the Gaussian binomial coefficients count what
     they are supposed to.
     """
-    if n < 0 or not 0 <= j <= n:
+    if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
     hist = [0] * (j * (n - j) + 1)
     most = j * n - j * (j - 1) // 2

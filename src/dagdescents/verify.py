@@ -87,7 +87,7 @@ def _check_oracle(counter: DescentCounter, top: int):
 
     for n in range(1, top + 1):
         counts = enumerate_counts(n)
-        yield from _mismatches(((family, n, k), counts.cell(family, k),
+        yield from _mismatches(((family, n, k), getattr(counts, family)[k],
                                 counter.cell(family, n, k))
                                for k in range(n * (n - 1) // 2 + 1)
                                for family in FAMILIES)

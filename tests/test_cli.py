@@ -294,6 +294,11 @@ def test_verify_checks_subset(capsys):
     out = capsys.readouterr().out
     assert "PASS golden" in out and "PASS totals" in out
     assert "oracle" not in out and "series" not in out
+    # names are stripped, and the checks run in their own order
+    assert run_cli("verify", "--checks", " totals , golden ") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == \
+        ["PASS golden", "PASS totals"]
 
 
 def test_verify_detects_tampered_fixture(monkeypatch, capsys):

@@ -387,6 +387,12 @@ def test_series_identity_holds_through_degree_40_and_can_fail(monkeypatch):
         lambda m: true_total(m) + (m == 5))
     assert series_identity_check(4)
     assert not series_identity_check(8)
+    # a fault at the top degree itself: a loop that stops one short passes
+    monkeypatch.setattr(
+        verify, "labeled_dag_total",
+        lambda m: true_total(m) + (m == 8))
+    assert series_identity_check(7)
+    assert not series_identity_check(8)
 
 
 def test_labeled_dag_total_sequence():

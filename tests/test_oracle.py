@@ -95,22 +95,7 @@ def test_three_vertex_tables():
     assert counts.A == [0, 7, 7, 2]
     assert counts.B == [9, 8, 1, 0]
     assert counts.Cw == [0, 0, 2, 1]
-    for family in FAMILIES:
-        row = getattr(counts, family)
-        assert [counts.cell(family, k) for k in range(len(row))] == row
     assert counts.by_descents is counts.d
-    for tag in ("x", "n"):
-        with pytest.raises(ValueError, match=f"unknown family '{tag}'"):
-            counts.cell(tag, 0)
-
-
-def test_cell_rejects_negative_k_and_reads_zero_past_the_row():
-    counts = enumerate_counts(3)
-    for family in FAMILIES:
-        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
-            counts.cell(family, -1)
-        assert counts.cell(family, 4) == 0
-        assert counts.cell(family, 100) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -189,6 +174,8 @@ def test_subset_pair_histogram_rejects_bad_j():
         subset_pair_histogram(3, 4)
     with pytest.raises(ValueError):
         subset_pair_histogram(3, -1)
+    with pytest.raises(ValueError):
+        subset_pair_histogram(-1, 0)
 
 
 def test_subset_pair_histogram_matches_gaussian_coefficients():
